@@ -1,20 +1,13 @@
 // Kernel engine perf trajectory: times one full-domain sweep of the
 // paper's 3D 7-point constant stencil under every kernel policy this
-// host can honour (plus a forced-streaming-stores case), verifies the
-// bit-exactness contract, and writes the results as JSON
+// host can honour, verifies the bit-exactness contract, and writes the
+// results as JSON
 // (BENCH_kernels.json at the repo root by default) so the vector
 // efficiency of the engine — GB/s per variant and speedup over the true
 // scalar baseline — is tracked across PRs and gated in CI.
 //
 //   kernel_report [--edge 64] [--steps N] [--reps R]
-//                 [--min-speedup 1.3] [--huge-edge auto|N|0]
-//                 [--out BENCH_kernels.json]
-//
-// The huge-domain phase ("huge_domain" in the JSON) times the auto
-// kernel on an LLC-exceeding domain with regular vs auto stores — the
-// size where StorePolicy::Auto engages non-temporal streaming on its
-// own, so the report tracks the payoff the main (cache-resident) phase
-// cannot see.  --huge-edge 0 skips it.
+//                 [--min-speedup 1.3] [--out BENCH_kernels.json]
 //
 // Exit status: 0 on success; 1 when a bit-exactness check fails or the
 // best vector kernel misses the --min-speedup floor over scalar.
@@ -46,16 +39,8 @@ double now_seconds() {
   return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
 }
 
-/// One measured configuration: a kernel policy plus a store policy (the
-/// engine only honours Stream on aligned layouts with a rotated kernel).
-struct Case {
-  core::KernelPolicy policy;
-  core::StorePolicy stores = core::StorePolicy::Auto;
-  std::string label;  // "scalar", "avx2", "auto+stream", ...
-};
-
 struct Measurement {
-  Case config;
+  core::KernelPolicy policy;
   std::string kernel;  // selected variant name
   double seconds_per_sweep = 0.0;
   double gupdates_per_second = 0.0;
@@ -68,21 +53,21 @@ struct Measurement {
 /// or steal-time drift on a shared machine biases every case equally,
 /// not whichever happened to run during the slow phase) and keeping the
 /// best rep per case.
-std::vector<Measurement> measure_all(const std::vector<Case>& cases, Index edge,
-                                     long sweeps_per_rep, int reps) {
+std::vector<Measurement> measure_all(const std::vector<core::KernelPolicy>& cases,
+                                     Index edge, long sweeps_per_rep, int reps) {
   struct Run {
     core::Problem problem;
     core::Executor exec;
     long t = 0;
     double best = 1e30;
-    Run(const Coord& shape, const Case& c)
+    Run(const Coord& shape, core::KernelPolicy policy)
         : problem(shape, core::StencilSpec::paper_3d7p()),
-          exec((problem.initialize(), problem), {}, c.policy, c.stores) {}
+          exec((problem.initialize(), problem), {}, policy) {}
   };
   const Coord shape{edge, edge, edge};
   std::vector<Run> runs;
   runs.reserve(cases.size());
-  for (const Case& c : cases) runs.emplace_back(shape, c);
+  for (const core::KernelPolicy policy : cases) runs.emplace_back(shape, policy);
 
   const core::Box domain = whole(shape);
   for (Run& r : runs)
@@ -99,7 +84,7 @@ std::vector<Measurement> measure_all(const std::vector<Case>& cases, Index edge,
   std::vector<Measurement> out;
   for (std::size_t i = 0; i < runs.size(); ++i) {
     Measurement m;
-    m.config = cases[i];
+    m.policy = cases[i];
     m.kernel = runs[i].exec.kernel().name();
     m.seconds_per_sweep = runs[i].best / static_cast<double>(sweeps_per_rep);
     m.gupdates_per_second =
@@ -127,35 +112,19 @@ long calibrate_sweeps(Index edge) {
   return std::max<long>(1, static_cast<long>(0.05 / one));
 }
 
-bool bitexact_vs_scalar(core::KernelPolicy policy, core::StorePolicy stores,
-                        Index edge) {
+bool bitexact_vs_scalar(core::KernelPolicy policy, Index edge) {
   const Coord shape{edge, edge, edge};
   std::vector<std::vector<double>> results;
   for (int i = 0; i < 2; ++i) {
     core::Problem problem(shape, core::StencilSpec::paper_3d7p());
     problem.initialize();
-    core::Executor exec(problem, {},
-                        i == 0 ? core::KernelPolicy::Scalar : policy,
-                        i == 0 ? core::StorePolicy::Auto : stores);
+    core::Executor exec(problem, {}, i == 0 ? core::KernelPolicy::Scalar : policy);
     for (long t = 0; t < 3; ++t) exec.update_box(whole(shape), t, 0);
     const double* d = problem.buffer(3).data();
     results.emplace_back(d, d + problem.volume());
   }
   return std::memcmp(results[0].data(), results[1].data(),
                      results[0].size() * sizeof(double)) == 0;
-}
-
-/// Smallest edge whose one-sweep working set (read + write field of the
-/// constant 3D 7-point stencil) crosses the StorePolicy::Auto streaming
-/// threshold, rounded up to a full cache line of doubles so the rows
-/// stay 64B-aligned on any host.
-Index auto_huge_edge() {
-  const Index threshold = core::stream_auto_threshold_bytes();
-  Index edge = 8;
-  while (2 * sizeof(double) * edge * edge * edge <
-         static_cast<std::size_t>(threshold))
-    edge += 8;
-  return edge;
 }
 
 bool policy_runnable(core::KernelPolicy policy) {
@@ -186,11 +155,6 @@ int main(int argc, char** argv) try {
                   "bit-exact vector kernel beats scalar by this factor "
                   "(0 = report only)",
                   "0");
-  args.add_option("huge-edge",
-                  "LLC-exceeding domain edge for the streaming-store "
-                  "payoff phase (auto = smallest edge past the streaming "
-                  "threshold, 0 = skip)",
-                  "auto");
   args.add_option("out", "output JSON path", "BENCH_kernels.json");
   if (!args.parse(argc, argv)) return 0;
 
@@ -201,40 +165,28 @@ int main(int argc, char** argv) try {
   const double floor = args.get_double("min-speedup");
 
   const auto& cpu = core::CpuFeatures::host();
-  std::vector<Case> cases;
+  std::vector<core::KernelPolicy> cases;
   for (core::KernelPolicy policy :
        {core::KernelPolicy::Scalar, core::KernelPolicy::SSE2,
         core::KernelPolicy::AVX2, core::KernelPolicy::FMA,
         core::KernelPolicy::GenericSimd, core::KernelPolicy::Auto}) {
-    if (policy_runnable(policy))
-      cases.push_back({policy, core::StorePolicy::Auto, to_string(policy)});
+    if (policy_runnable(policy)) cases.push_back(policy);
   }
-  // Forced streaming stores on the auto kernel: below the LLC threshold
-  // StorePolicy::Auto stays regular, so this row is what tracks the
-  // non-temporal path (it degrades to the plain auto kernel on hosts or
-  // shapes without the aligned-rows layout).
-  if (policy_runnable(core::KernelPolicy::Auto))
-    cases.push_back(
-        {core::KernelPolicy::Auto, core::StorePolicy::Stream, "auto+stream"});
 
   std::vector<Measurement> results = measure_all(cases, edge, sweeps, reps);
 
   double scalar_time = 0.0, generic_time = 0.0, auto_time = 0.0;
   for (const Measurement& m : results) {
-    if (m.config.stores != core::StorePolicy::Auto) continue;
-    if (m.config.policy == core::KernelPolicy::Scalar)
-      scalar_time = m.seconds_per_sweep;
-    if (m.config.policy == core::KernelPolicy::GenericSimd)
-      generic_time = m.seconds_per_sweep;
-    if (m.config.policy == core::KernelPolicy::Auto)
-      auto_time = m.seconds_per_sweep;
+    if (m.policy == core::KernelPolicy::Scalar) scalar_time = m.seconds_per_sweep;
+    if (m.policy == core::KernelPolicy::GenericSimd) generic_time = m.seconds_per_sweep;
+    if (m.policy == core::KernelPolicy::Auto) auto_time = m.seconds_per_sweep;
   }
   for (Measurement& m : results)
     m.speedup_vs_scalar =
         m.seconds_per_sweep > 0 ? scalar_time / m.seconds_per_sweep : 0.0;
 
   for (const Measurement& m : results)
-    std::cout << "  " << m.config.label << " -> " << m.kernel << ": "
+    std::cout << "  " << to_string(m.policy) << " -> " << m.kernel << ": "
               << m.gupdates_per_second << " Gupdates/s, " << m.gbytes_per_second
               << " GB/s, " << m.speedup_vs_scalar << "x scalar\n";
 
@@ -242,8 +194,7 @@ int main(int argc, char** argv) try {
   // summation, so it may not represent the contract-keeping engine).
   const Measurement* best = nullptr;
   for (const Measurement& m : results) {
-    if (m.config.policy == core::KernelPolicy::Scalar ||
-        m.config.policy == core::KernelPolicy::FMA)
+    if (m.policy == core::KernelPolicy::Scalar || m.policy == core::KernelPolicy::FMA)
       continue;
     if (!best || m.seconds_per_sweep < best->seconds_per_sweep) best = &m;
   }
@@ -251,35 +202,7 @@ int main(int argc, char** argv) try {
   const double speedup = auto_time > 0 ? generic_time / auto_time : 0.0;
 
   const Index exact_edge = std::min<Index>(edge, 32);
-  const bool exact =
-      bitexact_vs_scalar(core::KernelPolicy::Auto, core::StorePolicy::Auto, exact_edge);
-  const bool exact_stream =
-      bitexact_vs_scalar(core::KernelPolicy::Auto, core::StorePolicy::Stream, exact_edge);
-
-  // Huge-domain phase: the edge where StorePolicy::Auto engages
-  // streaming by itself.  Regular stores are the control; auto stores
-  // show the non-temporal payoff (write misses stop costing a read).
-  const Index huge_edge = args.get("huge-edge") == "auto"
-                              ? auto_huge_edge()
-                              : args.get_long("huge-edge");
-  std::vector<Measurement> huge;
-  bool huge_streamed = false;
-  double huge_speedup = 0.0;
-  if (huge_edge > 0) {
-    const std::vector<Case> huge_cases = {
-        {core::KernelPolicy::Auto, core::StorePolicy::Regular, "huge regular"},
-        {core::KernelPolicy::Auto, core::StorePolicy::Auto, "huge auto"},
-    };
-    huge = measure_all(huge_cases, huge_edge, /*sweeps_per_rep=*/2,
-                       std::min(reps, 5));
-    huge_streamed = huge[1].kernel.find("+nt") != std::string::npos;
-    huge_speedup = huge[1].seconds_per_sweep > 0
-                       ? huge[0].seconds_per_sweep / huge[1].seconds_per_sweep
-                       : 0.0;
-    for (const Measurement& m : huge)
-      std::cout << "  " << m.config.label << " @ " << huge_edge << "^3 -> "
-                << m.kernel << ": " << m.gbytes_per_second << " GB/s\n";
-  }
+  const bool exact = bitexact_vs_scalar(core::KernelPolicy::Auto, exact_edge);
 
   std::ofstream out(args.get("out"));
   NUSTENCIL_CHECK(out.good(), "cannot open " + args.get("out"));
@@ -294,8 +217,7 @@ int main(int argc, char** argv) try {
       << "  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Measurement& m = results[i];
-    out << "    {\"policy\": \"" << to_string(m.config.policy)
-        << "\", \"stores\": \"" << to_string(m.config.stores)
+    out << "    {\"policy\": \"" << to_string(m.policy)
         << "\", \"kernel\": \"" << m.kernel
         << "\", \"seconds_per_sweep\": " << m.seconds_per_sweep
         << ", \"gupdates_per_s\": " << m.gupdates_per_second
@@ -304,48 +226,24 @@ int main(int argc, char** argv) try {
         << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ],\n"
-      << "  \"huge_domain\": {\n"
-      << "    \"edge\": " << huge_edge << ",\n"
-      << "    \"stream_threshold_bytes\": " << core::stream_auto_threshold_bytes()
-      << ",\n"
-      << "    \"results\": [\n";
-  for (std::size_t i = 0; i < huge.size(); ++i) {
-    const Measurement& m = huge[i];
-    out << "      {\"stores\": \"" << to_string(m.config.stores)
-        << "\", \"kernel\": \"" << m.kernel
-        << "\", \"seconds_per_sweep\": " << m.seconds_per_sweep
-        << ", \"gbytes_per_s\": " << m.gbytes_per_second << "}"
-        << (i + 1 < huge.size() ? "," : "") << "\n";
-  }
-  out << "    ],\n"
-      << "    \"auto_streams\": " << (huge_streamed ? "true" : "false") << ",\n"
-      << "    \"speedup_stream_vs_regular\": " << huge_speedup << "\n"
-      << "  },\n"
       << "  \"vector_efficiency\": {\n"
       << "    \"best_kernel\": \"" << (best ? best->kernel : "") << "\",\n"
-      << "    \"best_case\": \"" << (best ? best->config.label : "") << "\",\n"
+      << "    \"best_case\": \"" << (best ? to_string(best->policy) : "") << "\",\n"
       << "    \"speedup_best_vs_scalar\": " << best_speedup << ",\n"
       << "    \"min_speedup_floor\": " << floor << "\n"
       << "  },\n"
       << "  \"speedup_specialized_vs_generic\": " << speedup << ",\n"
-      << "  \"bitexact_auto_vs_scalar\": " << (exact ? "true" : "false") << ",\n"
-      << "  \"bitexact_stream_vs_scalar\": " << (exact_stream ? "true" : "false")
-      << "\n}\n";
+      << "  \"bitexact_auto_vs_scalar\": " << (exact ? "true" : "false") << "\n}\n";
   std::cout << "best vector kernel at " << edge << "^3: "
             << (best ? best->kernel : "none") << " (" << best_speedup
             << "x scalar, floor " << floor << "); specialized-vs-generic "
             << speedup << "x; bit-exact: " << (exact ? "yes" : "NO")
-            << "; streaming bit-exact: " << (exact_stream ? "yes" : "NO")
             << "; wrote " << args.get("out") << '\n';
-  if (huge_edge > 0)
-    std::cout << "huge domain " << huge_edge << "^3: auto stores "
-              << (huge_streamed ? "streamed" : "did NOT stream") << ", "
-              << huge_speedup << "x vs regular\n";
   const bool floor_ok = floor <= 0.0 || best_speedup >= floor;
   if (!floor_ok)
     std::cout << "FAIL: best vector speedup " << best_speedup
               << "x is below the committed floor " << floor << "x\n";
-  return (exact && exact_stream && floor_ok) ? 0 : 1;
+  return (exact && floor_ok) ? 0 : 1;
 } catch (const std::exception& e) {
   std::cerr << "error: " << e.what() << '\n';
   return 2;

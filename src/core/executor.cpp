@@ -30,8 +30,16 @@ struct Executor::RowPlan {
   std::array<Index, kMaxTaps> base{};  ///< per-tap src row base, x-offset folded
 };
 
-Executor::Executor(Problem& problem, Instrumentation instr, KernelPolicy policy,
-                   StorePolicy stores)
+KernelRequest kernel_request_for(const StencilSpec& stencil) {
+  KernelRequest req;
+  req.ntaps = stencil.npoints();
+  req.banded = stencil.banded();
+  req.rank = stencil.rank();
+  req.order = stencil.order();
+  return req;
+}
+
+Executor::Executor(Problem& problem, Instrumentation instr, KernelPolicy policy)
     : problem_(&problem), instr_(instr) {
   const Coord& shape = problem.shape();
   const StencilSpec& st = problem.stencil();
@@ -42,18 +50,9 @@ Executor::Executor(Problem& problem, Instrumentation instr, KernelPolicy policy,
   // Storage strides, not logical ones: under FieldPad::Rows64 a row
   // occupies xstride >= nx elements (identical for dense layouts).
   const Field& f0 = problem.buffer(0);
-  xstride_ = f0.xstride();
-  sy_ = shape.rank() >= 2 ? f0.strides()[1] : xstride_;
+  sy_ = shape.rank() >= 2 ? f0.strides()[1] : f0.xstride();
   sz_ = shape.rank() >= 3 ? f0.strides()[2] : sy_ * ny_;
-  KernelRequest req;
-  req.ntaps = st.npoints();
-  req.banded = st.banded();
-  req.rank = shape.rank();
-  req.order = st.order();
-  req.rows_aligned = problem.rows_aligned();
-  req.stores = stores;
-  req.bytes_touched = problem.sweep_bytes();
-  kernel_ = select_kernel(policy, req);
+  kernel_ = select_kernel(policy, kernel_request_for(st));
   if (st.banded())
     for (int p = 0; p < st.npoints(); ++p)
       band_ptrs_[static_cast<std::size_t>(p)] = problem.band(p).data();
@@ -94,9 +93,6 @@ Index Executor::update_box(const Box& box, long t, int tid) {
   ka.coeffs = st.coeffs().data();
   ka.bands = band_ptrs_.data();
   ka.ntaps = ntaps;
-  // Row storage capacity: lets the rotated v2 kernels read the centre
-  // row ahead of x1 (v1 kernels ignore it).
-  ka.xcap = xstride_;
 
   RowPlan plan;
   plan.x0v = lo0;

@@ -57,15 +57,18 @@ struct RowSplit {
 };
 RowSplit compute_row_split(Index a, Index b, Index nx, int order);
 
+/// The kernel request an Executor builds for `stencil`: the one source
+/// of the kernel choice that --explain and run reports describe.
+KernelRequest kernel_request_for(const StencilSpec& stencil);
+
 class Executor {
  public:
   /// `instr` may outlive-or-null; the executor never owns it.  The row
-  /// kernel is selected once here, from `policy`, `stores`, the host CPU
-  /// and the problem's geometry/layout (rotated v2 kernels for canonical
-  /// rank-3 stars; streaming stores only on 64B-aligned rows).
+  /// kernel is selected once here, from `policy`, the host CPU and
+  /// kernel_request_for(problem.stencil()) (rotated v2 kernels for
+  /// canonical rank-3 stars).
   Executor(Problem& problem, Instrumentation instr = {},
-           KernelPolicy policy = KernelPolicy::Auto,
-           StorePolicy stores = StorePolicy::Auto);
+           KernelPolicy policy = KernelPolicy::Auto);
 
   /// Updates every cell of `box` (virtual coordinates, wrapped into the
   /// periodic domain) from time `t` to `t+1` on behalf of thread `tid`.
@@ -114,10 +117,9 @@ class Executor {
 
   // Cached geometry (normalised to 3D: missing dims have extent 1).
   // Strides come from the fields, so padded layouts (xstride > nx) work
-  // transparently; xstride_ feeds KernelArgs::xcap.
+  // transparently.
   Index nx_, ny_, nz_;
   Index sy_, sz_;  // storage strides of dims 1 and 2
-  Index xstride_;  // storage extent of the unit-stride dim
 };
 
 }  // namespace nustencil::core

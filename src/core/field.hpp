@@ -28,8 +28,8 @@ double initial_value(Index cell, unsigned seed);
 ///            pre-existing dense-layout consumer keeps working unchanged)
 ///   Rows64 — pad the unit-stride dimension to a multiple of 8 doubles so
 ///            every row starts on a 64-byte cache-line boundary and the
-///            vector kernels can issue aligned loads and non-temporal
-///            stores on rows of any logical extent
+///            vector kernels can issue aligned loads on rows of any
+///            logical extent
 enum class FieldPad { None, Rows64 };
 
 class Field {
@@ -112,11 +112,10 @@ class Problem {
 
   Index volume() const { return u_[0].volume(); }
   Index storage_volume() const { return u_[0].storage_volume(); }
-  bool rows_aligned() const { return u_[0].rows_aligned(); }
 
   /// Bytes one full-domain sweep reads + writes (both value buffers plus
-  /// every band, storage layout included) — the working-set estimate the
-  /// StorePolicy::Auto streaming heuristic compares against the LLC.
+  /// every band, storage layout included): the algorithmic traffic of a
+  /// sweep, the numerator of kernel_report's GB/s column.
   Index sweep_bytes() const {
     return (2 + static_cast<Index>(bands_.size())) * storage_volume() *
            static_cast<Index>(sizeof(double));

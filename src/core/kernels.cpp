@@ -6,10 +6,6 @@
 #include <cctype>
 #include <sstream>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
-
 #include "common/error.hpp"
 #include "core/kernels_detail.hpp"
 #include "core/kernels_impl.hpp"
@@ -65,38 +61,6 @@ std::string to_string(KernelPolicy policy) {
   return "?";
 }
 
-StorePolicy parse_store_policy(const std::string& name) {
-  const std::string lower = lowercase(name);
-  if (lower == "auto") return StorePolicy::Auto;
-  if (lower == "stream") return StorePolicy::Stream;
-  if (lower == "regular") return StorePolicy::Regular;
-  throw Error("unknown store policy '" + name +
-              "' (expected auto, stream or regular)");
-}
-
-std::string to_string(StorePolicy policy) {
-  switch (policy) {
-    case StorePolicy::Auto: return "auto";
-    case StorePolicy::Stream: return "stream";
-    case StorePolicy::Regular: return "regular";
-  }
-  return "?";
-}
-
-Index stream_auto_threshold_bytes() {
-  static const Index threshold = [] {
-    Index llc = 0;
-#if defined(_SC_LEVEL3_CACHE_SIZE)
-    if (llc <= 0) llc = static_cast<Index>(sysconf(_SC_LEVEL3_CACHE_SIZE));
-#endif
-#if defined(_SC_LEVEL2_CACHE_SIZE)
-    if (llc <= 0) llc = static_cast<Index>(sysconf(_SC_LEVEL2_CACHE_SIZE));
-#endif
-    return llc > 0 ? llc : Index(16) << 20;
-  }();
-  return threshold;
-}
-
 std::string to_string(KernelIsa isa) {
   switch (isa) {
     case KernelIsa::Scalar: return "scalar";
@@ -128,7 +92,6 @@ std::string KernelChoice::name() const {
   if (variant == KernelVariant::Generic) os << "+generic";
   if (variant == KernelVariant::Legacy) os << "+legacy";
   if (rotated) os << "+rot";
-  if (stream) os << "+nt";
   os << '/' << ntaps << "pt/" << (banded ? "banded" : "const");
   return os.str();
 }
@@ -250,15 +213,6 @@ bool rotation_eligible(const Resolution& r, const KernelRequest& q) {
          q.ntaps == 6 * q.order + 1;
 }
 
-/// Streaming needs the rotated kernels (their aligned store path) plus an
-/// aligned layout; Auto additionally wants an LLC-busting working set —
-/// streaming a cache-resident sweep would only evict the write field.
-bool stream_wanted(const KernelRequest& q) {
-  if (!q.rows_aligned || q.stores == StorePolicy::Regular) return false;
-  return q.stores == StorePolicy::Stream ||
-         q.bytes_touched >= stream_auto_threshold_bytes();
-}
-
 }  // namespace
 
 KernelChoice select_kernel(KernelPolicy policy, int ntaps, bool banded) {
@@ -269,9 +223,8 @@ KernelChoice select_kernel(KernelPolicy policy, int ntaps, bool banded) {
 KernelChoice select_kernel(KernelPolicy policy, const KernelRequest& request) {
   const Resolution r = resolve_policy(policy);
   if (rotation_eligible(r, request)) {
-    const bool stream = stream_wanted(request);
     const KernelFn fn =
-        detail::avx2_kernel_v2(request.order, request.banded, stream, r.fma);
+        detail::avx2_kernel_v2(request.order, request.banded, r.fma);
     if (fn) {
       KernelChoice choice;
       choice.fn = fn;
@@ -280,7 +233,6 @@ KernelChoice select_kernel(KernelPolicy policy, const KernelRequest& request) {
       choice.fma = r.fma;
       choice.banded = request.banded;
       choice.rotated = true;
-      choice.stream = stream;
       choice.ntaps = request.ntaps;
       return choice;
     }
@@ -340,20 +292,6 @@ std::string explain_kernel_choice(KernelPolicy policy,
              ? "in-register rotation (one aligned load per cache line)"
              : "per-tap vector loads")
      << '\n'
-     << "  write-field stores      : " << to_string(request.stores) << " -> "
-     << (choice.stream ? "streaming (non-temporal)" : "regular");
-  if (!choice.stream) {
-    if (request.stores == StorePolicy::Regular)
-      os << " (forced)";
-    else if (!request.rows_aligned)
-      os << " (rows not 64B-aligned)";
-    else if (!choice.rotated)
-      os << " (no rotated kernel for this stencil/policy)";
-    else
-      os << " (sweep " << request.bytes_touched << " B < LLC threshold "
-         << stream_auto_threshold_bytes() << " B)";
-  }
-  os << '\n'
      << "  bit-exact vs scalar     : " << yn(!choice.fma)
      << (choice.fma ? " (FMA contracts mul+add; use for wall-clock runs only)"
                     : "")

@@ -56,23 +56,6 @@ enum class KernelVariant { Specialized, Generic, Legacy };
 KernelPolicy parse_kernel_policy(const std::string& name);
 std::string to_string(KernelPolicy policy);
 
-/// Write-field store discipline of the vector kernels.
-///   Auto    — stream when the sweep's working set is at least LLC-sized
-///             and the layout allows it (64B-aligned rows)
-///   Stream  — force non-temporal stores whenever the layout allows
-///   Regular — always write through the cache hierarchy
-enum class StorePolicy { Auto, Stream, Regular };
-
-/// Parses "auto|stream|regular" (case-insensitive); throws Error listing
-/// the valid names otherwise.
-StorePolicy parse_store_policy(const std::string& name);
-std::string to_string(StorePolicy policy);
-
-/// Sweep working-set threshold for StorePolicy::Auto: the host LLC
-/// capacity when the C library reports it, else 16 MiB.  Streaming below
-/// this size would evict the write field from a cache it fits in.
-Index stream_auto_threshold_bytes();
-
 enum class KernelIsa { Scalar, SSE2, AVX2 };
 std::string to_string(KernelIsa isa);
 
@@ -93,11 +76,9 @@ struct KernelArgs {
   const double* coeffs = nullptr;        ///< constant case: one per tap
   const double* const* bands = nullptr;  ///< banded case: one array per tap
   int ntaps = 0;                         ///< used by the generic kernels
-  /// Row storage capacity in elements past the row base (the field's
-  /// xstride).  The rotated kernels may read the centre source row
-  /// anywhere in [row, row + xcap) while computing [x0, x1); 0 (the
-  /// default) means "unknown" and confines every read to the v1 contract
-  /// ([x0 - order, x1 + order) around each tap base).
+  /// Unread.  Every kernel confines its reads to [x0 - order, x1 + order)
+  /// around each tap base; the field stays only because ladderbench's
+  /// kernel-row probe still sets it.
   Index xcap = 0;
 };
 
@@ -118,30 +99,26 @@ struct KernelChoice {
   /// rotation over one aligned load per cache line instead of 2*order+1
   /// overlapping unaligned loads per vector.
   bool rotated = false;
-  /// Kernel engine v2: the write field uses non-temporal streaming
-  /// stores (requires 64B-aligned rows; the caller must pass the row
-  /// bases and KernelArgs::xcap of an aligned layout).
+  /// Always false: every kernel writes through the cache, because a
+  /// temporally blocked tile re-reads its output at the next time step.
+  /// Kept only because ladderbench still reports it.
   bool stream = false;
   int ntaps = 0;
   /// Tap count fully unrolled?
   bool specialized() const { return variant == KernelVariant::Specialized; }
-  /// e.g. "avx2+rot/7pt/const" or "sse2+generic/9pt/banded"; streaming
-  /// stores append "+nt".
+  /// e.g. "avx2+rot/7pt/const" or "sse2+generic/9pt/banded".
   std::string name() const;
 };
 
 /// Everything kernel selection wants to know about the sweep, beyond the
 /// policy: the stencil geometry (rotation is keyed on the canonical
-/// rank-3 star layout), the storage alignment, and the store policy with
-/// the working-set size its Auto heuristic needs.
+/// rank-3 star layout).  Build it with kernel_request_for() (executor.hpp)
+/// so every caller describes the kernel the Executor actually runs.
 struct KernelRequest {
   int ntaps = 0;
   bool banded = false;
-  int rank = 0;   ///< 0 = unknown (disables rotation/streaming)
+  int rank = 0;   ///< 0 = unknown (disables rotation)
   int order = 0;
-  bool rows_aligned = false;  ///< 64B row bases and xstride % 8 == 0
-  StorePolicy stores = StorePolicy::Auto;
-  Index bytes_touched = 0;  ///< bytes one sweep reads + writes (Auto heuristic)
 };
 
 /// True when a fully unrolled variant exists for this tap count.
@@ -163,9 +140,8 @@ KernelChoice select_kernel_isa(KernelIsa isa, bool fma, int ntaps, bool banded,
 KernelChoice select_kernel(KernelPolicy policy, int ntaps, bool banded);
 
 /// Full selection: additionally considers the v2 rotated kernels (AVX2,
-/// canonical rank-3 stars of order 1..3) and the store policy (streaming
-/// only on aligned rows).  The 3-argument overload above is the subset
-/// with rank unknown, which can never rotate or stream.
+/// canonical rank-3 stars of order 1..3).  The 3-argument overload above
+/// is the subset with rank unknown, which can never rotate.
 KernelChoice select_kernel(KernelPolicy policy, const KernelRequest& request);
 
 /// Human-readable report for `nustencil --explain`: detected CPU

@@ -14,9 +14,8 @@
 //        per-tap unaligned vector loads, register-blocked along x.
 //   v2 — rotated kernels for the canonical rank-3 stars (order 1..3):
 //        the 2*order+1 unit-stride taps are produced by in-register
-//        rotation of one aligned centre-row load per cache line, with
-//        optional non-temporal streaming stores and, in the FMA tier,
-//        semi-stencil-style update splitting.
+//        rotation of one aligned centre-row load per output vector and,
+//        in the FMA tier, semi-stencil-style update splitting.
 //
 // The plain AVX2 variants (v1 and v2) use separate mul + add and keep the
 // strict spec-order tap chain, so they stay bit-identical to the scalar
@@ -107,12 +106,12 @@ inline __m256d shift(__m256d a, __m256d b) {
 /// (taps in spec order: centre, x -ORDER..-1 then +1..+ORDER, then the
 /// y/z taps).  The unit-stride taps are rotated out of a rolling window
 /// of aligned centre-row loads: one new 32B load per output vector
-/// instead of 2*ORDER+1 overlapping unaligned loads.  STREAM selects
-/// non-temporal stores (the caller must pass 64B-aligned row bases and a
-/// valid KernelArgs::xcap); FMA additionally splits the update
-/// semi-stencil-style into independent axis/off-axis chains (NOT
-/// bit-exact — FMA-tier only).
-template <int ORDER, bool BANDED, bool STREAM, bool FMA>
+/// instead of 2*ORDER+1 overlapping unaligned loads.  Every read stays
+/// inside the tile's stencil reach [x0 - ORDER, x1 + ORDER) of each tap
+/// row, the same contract as the v1 kernels.  FMA additionally splits
+/// the update semi-stencil-style into independent axis/off-axis chains
+/// (NOT bit-exact — FMA-tier only).
+template <int ORDER, bool BANDED, bool FMA>
 void kernel_row_v2(const KernelArgs& k, const Index* bases, Index db,
                    Index x0, Index x1) {
   constexpr int W = 4;
@@ -122,7 +121,6 @@ void kernel_row_v2(const KernelArgs& k, const Index* bases, Index db,
   const double* __restrict coeffs = k.coeffs;
 
   const Index row = bases[0];
-  const Index xcap = k.xcap;
 
   Index base[NT];
   [[maybe_unused]] __m256d creg[NT];
@@ -207,10 +205,8 @@ void kernel_row_v2(const KernelArgs& k, const Index* bases, Index db,
     return accumulate(x, tap);
   };
 
-  // Per-tap-load update, the v1 read pattern: used near the row end when
-  // the rolling next-block read would cross xcap, and for callers that
-  // did not provide xcap.  Reads stay within the v1 contract
-  // ([x0 - ORDER, x1 + ORDER) around each tap base).
+  // Per-tap-load update, the v1 read pattern: used for the vectors whose
+  // rolling window would reach outside [x0 - ORDER, x1 + ORDER).
   const auto update_per_tap = [&](Index x) -> __m256d {
     const auto tap = [&](auto pc) -> __m256d {
       constexpr int P = decltype(pc)::value;
@@ -218,58 +214,46 @@ void kernel_row_v2(const KernelArgs& k, const Index* bases, Index db,
     };
     return accumulate(x, tap);
   };
+  const auto store = [&](Index x, __m256d v) {
+    _mm256_storeu_pd(dst + db + x, v);
+  };
 
+  // Peel scalar cells up to the next W-aligned x, so the rolling loads
+  // are 32B-aligned on aligned layouts.
   Index x = x0;
-  if (xcap > 0) {
-    // Aligned-rows path.  Peel scalar cells up to the next W-aligned
-    // block (and always past the first W cells, so the rolling window's
-    // prev load at row + x - W stays inside the row's storage).
-    const Index xa = std::min(x1, round_up(std::max<Index>(x0, W), W));
-    for (; x < xa; ++x) scalar_cell(x);
-    // From here x stays a multiple of W, so streaming stores (which
-    // require 32B alignment) are legal whenever the caller honoured the
-    // aligned-rows contract.
-    const auto store = [&](Index xs, __m256d v) {
-      if constexpr (STREAM)
-        _mm256_stream_pd(dst + db + xs, v);
-      else
-        _mm256_storeu_pd(dst + db + xs, v);
-    };
-    if (x + W <= x1 && x + 2 * W <= xcap) {
-      __m256d prev = _mm256_loadu_pd(src + row + x - W);
-      __m256d cur = _mm256_loadu_pd(src + row + x);
-      // Four output vectors per iteration: four new aligned loads feed
-      // four rotated updates, so the shuffle results are all reused and
-      // the independent accumulator chains hide the add latency.
-      for (; x + 4 * W <= x1 && x + 5 * W <= xcap; x += 4 * W) {
-        const __m256d r1 = _mm256_loadu_pd(src + row + x + W);
-        const __m256d r2 = _mm256_loadu_pd(src + row + x + 2 * W);
-        const __m256d r3 = _mm256_loadu_pd(src + row + x + 3 * W);
-        const __m256d r4 = _mm256_loadu_pd(src + row + x + 4 * W);
-        store(x, update_rotated(x, prev, cur, r1));
-        store(x + W, update_rotated(x + W, cur, r1, r2));
-        store(x + 2 * W, update_rotated(x + 2 * W, r1, r2, r3));
-        store(x + 3 * W, update_rotated(x + 3 * W, r2, r3, r4));
-        prev = r3;
-        cur = r4;
-      }
-      for (; x + W <= x1 && x + 2 * W <= xcap; x += W) {
-        const __m256d next = _mm256_loadu_pd(src + row + x + W);
-        store(x, update_rotated(x, prev, cur, next));
-        prev = cur;
-        cur = next;
-      }
+  const Index xa = std::min(x1, round_up(x0, W));
+  for (; x < xa; ++x) scalar_cell(x);
+  // The window at x loads [x - W, x + 2W) of the centre row.  Leading
+  // vectors whose prev block would start below x0 - ORDER go per tap.
+  for (; x + W <= x1 && x - W < x0 - ORDER; x += W) store(x, update_per_tap(x));
+  if (x + 2 * W <= x1 + ORDER) {
+    __m256d prev = _mm256_loadu_pd(src + row + x - W);
+    __m256d cur = _mm256_loadu_pd(src + row + x);
+    // Four output vectors per iteration: four new aligned loads feed
+    // four rotated updates, so the shuffle results are all reused and
+    // the independent accumulator chains hide the add latency.  The
+    // last load ends at x + 5W, which must not pass x1 + ORDER.
+    for (; x + 5 * W <= x1 + ORDER; x += 4 * W) {
+      const __m256d r1 = _mm256_loadu_pd(src + row + x + W);
+      const __m256d r2 = _mm256_loadu_pd(src + row + x + 2 * W);
+      const __m256d r3 = _mm256_loadu_pd(src + row + x + 3 * W);
+      const __m256d r4 = _mm256_loadu_pd(src + row + x + 4 * W);
+      store(x, update_rotated(x, prev, cur, r1));
+      store(x + W, update_rotated(x + W, cur, r1, r2));
+      store(x + 2 * W, update_rotated(x + 2 * W, r1, r2, r3));
+      store(x + 3 * W, update_rotated(x + 3 * W, r2, r3, r4));
+      prev = r3;
+      cur = r4;
     }
-    for (; x + W <= x1; x += W) store(x, update_per_tap(x));
-    // Make the non-temporal stores globally visible before the kernel
-    // returns (the executor's inter-sweep handoff assumes completed rows
-    // are readable).
-    if constexpr (STREAM) _mm_sfence();
-  } else {
-    // No xcap: rotation and streaming are off the table (both need the
-    // aligned-rows contract); per-tap loads with regular stores match v1.
-    for (; x + W <= x1; x += W) _mm256_storeu_pd(dst + db + x, update_per_tap(x));
+    for (; x + 2 * W <= x1 + ORDER; x += W) {
+      const __m256d next = _mm256_loadu_pd(src + row + x + W);
+      store(x, update_rotated(x, prev, cur, next));
+      prev = cur;
+      cur = next;
+    }
   }
+  // Trailing vectors whose next block would pass x1 + ORDER.
+  for (; x + W <= x1; x += W) store(x, update_per_tap(x));
   for (; x < x1; ++x) scalar_cell(x);
 }
 
@@ -283,29 +267,22 @@ KernelFn pick_v1_avx2(int ntaps, bool banded, KernelVariant variant,
 }
 
 template <int ORDER>
-KernelFn pick_v2_order(bool banded, bool stream, bool fma) {
-  if (banded) {
-    if (stream)
-      return fma ? &kernel_row_v2<ORDER, true, true, true>
-                 : &kernel_row_v2<ORDER, true, true, false>;
-    return fma ? &kernel_row_v2<ORDER, true, false, true>
-               : &kernel_row_v2<ORDER, true, false, false>;
-  }
-  if (stream)
-    return fma ? &kernel_row_v2<ORDER, false, true, true>
-               : &kernel_row_v2<ORDER, false, true, false>;
-  return fma ? &kernel_row_v2<ORDER, false, false, true>
-             : &kernel_row_v2<ORDER, false, false, false>;
+KernelFn pick_v2_order(bool banded, bool fma) {
+  if (banded)
+    return fma ? &kernel_row_v2<ORDER, true, true>
+               : &kernel_row_v2<ORDER, true, false>;
+  return fma ? &kernel_row_v2<ORDER, false, true>
+             : &kernel_row_v2<ORDER, false, false>;
 }
 
-KernelFn pick_v2_avx2(int order, bool banded, bool stream, bool fma) {
+KernelFn pick_v2_avx2(int order, bool banded, bool fma) {
   switch (order) {
     case 1:
-      return pick_v2_order<1>(banded, stream, fma);
+      return pick_v2_order<1>(banded, fma);
     case 2:
-      return pick_v2_order<2>(banded, stream, fma);
+      return pick_v2_order<2>(banded, fma);
     case 3:
-      return pick_v2_order<3>(banded, stream, fma);
+      return pick_v2_order<3>(banded, fma);
     default:
       return nullptr;
   }
@@ -325,8 +302,8 @@ KernelFn avx2_kernel(int ntaps, bool banded, KernelVariant variant, bool fma) {
   return pick_v1_avx2(ntaps, banded, variant, fma);
 }
 
-KernelFn avx2_kernel_v2(int order, bool banded, bool stream, bool fma) {
-  return pick_v2_avx2(order, banded, stream, fma);
+KernelFn avx2_kernel_v2(int order, bool banded, bool fma) {
+  return pick_v2_avx2(order, banded, fma);
 }
 
 bool avx2_compiled() { return true; }
@@ -339,7 +316,7 @@ bool avx2_fma_compiled() { return true; }
 namespace nustencil::core::detail {
 
 KernelFn avx2_kernel(int, bool, KernelVariant, bool) { return nullptr; }
-KernelFn avx2_kernel_v2(int, bool, bool, bool) { return nullptr; }
+KernelFn avx2_kernel_v2(int, bool, bool) { return nullptr; }
 bool avx2_compiled() { return false; }
 bool avx2_fma_compiled() { return false; }
 

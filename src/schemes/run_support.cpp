@@ -66,8 +66,7 @@ RunSupport::RunSupport(core::Problem& problem, const RunConfig& config)
   const core::KernelPolicy policy =
       config.use_simd ? config.kernel : core::KernelPolicy::Scalar;
   for (int tid = 0; tid < config.num_threads; ++tid) {
-    executors_.push_back(std::make_unique<core::Executor>(
-        problem, instr, policy, config.kernel_stores));
+    executors_.push_back(std::make_unique<core::Executor>(problem, instr, policy));
     executors_.back()->set_trace(recorder(tid));
   }
 

@@ -49,12 +49,6 @@ struct RunConfig {
   /// `use_simd = false` forces Scalar regardless of this policy.
   core::KernelPolicy kernel = core::KernelPolicy::Auto;
 
-  /// Write-field store discipline of the vector kernels (see
-  /// core/kernels.hpp): Auto streams only LLC-busting sweeps on aligned
-  /// rows, Stream forces non-temporal stores where the layout allows,
-  /// Regular always writes through the cache.
-  core::StorePolicy kernel_stores = core::StorePolicy::Auto;
-
   /// Pin worker threads to host cores (harmless no-op on small hosts).
   bool pin_threads = false;
 

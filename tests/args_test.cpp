@@ -222,7 +222,6 @@ TEST(ArgParser, MalformedNumberForSecondsOptionThrows) {
 ArgParser make_kernel_parser() {
   ArgParser p("prog", "x");
   p.add_option("kernel", "kernel policy", "auto");
-  p.add_option("kernel-stores", "store policy", "auto");
   return p;
 }
 
@@ -235,21 +234,9 @@ TEST(ArgParser, KernelPolicyOptionIsCaseInsensitive) {
         << spelling;
   }
   ArgParser p = make_kernel_parser();
-  ASSERT_TRUE(parse(p, {"--kernel=FMA", "--kernel-stores=REGULAR"}));
+  ASSERT_TRUE(parse(p, {"--kernel=FMA"}));
   EXPECT_EQ(core::parse_kernel_policy(p.get("kernel")),
             core::KernelPolicy::FMA);
-  EXPECT_EQ(core::parse_store_policy(p.get("kernel-stores")),
-            core::StorePolicy::Regular);
-}
-
-TEST(ArgParser, KernelStoresOptionIsCaseInsensitive) {
-  for (const char* spelling : {"stream", "Stream", "STREAM", "sTrEaM"}) {
-    ArgParser p = make_kernel_parser();
-    ASSERT_TRUE(parse(p, {"--kernel-stores", spelling}));
-    EXPECT_EQ(core::parse_store_policy(p.get("kernel-stores")),
-              core::StorePolicy::Stream)
-        << spelling;
-  }
 }
 
 TEST(ArgParser, BadKernelPolicyListsValidValues) {
@@ -264,20 +251,6 @@ TEST(ArgParser, BadKernelPolicyListsValidValues) {
     EXPECT_NE(what.find("avx512"), std::string::npos);
     for (const char* valid :
          {"auto", "scalar", "sse2", "avx2", "fma", "generic"})
-      EXPECT_NE(what.find(valid), std::string::npos) << valid;
-  }
-}
-
-TEST(ArgParser, BadKernelStoresListsValidValues) {
-  ArgParser p = make_kernel_parser();
-  ASSERT_TRUE(parse(p, {"--kernel-stores", "nontemporal"}));
-  try {
-    core::parse_store_policy(p.get("kernel-stores"));
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("nontemporal"), std::string::npos);
-    for (const char* valid : {"auto", "stream", "regular"})
       EXPECT_NE(what.find(valid), std::string::npos) << valid;
   }
 }

@@ -2,7 +2,8 @@
 // bit-exactness contract — every kernel variant the host supports
 // (scalar/SSE2/AVX2, specialized and generic, constant and banded,
 // orders 1-3) must produce bitwise-identical results to the scalar
-// reference on randomized domains, including the periodic wrap columns.
+// reference on randomized domains, including the periodic wrap columns,
+// and must read nothing outside a tile's stencil reach.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,12 @@
 #include "core/executor.hpp"
 #include "core/kernels.hpp"
 #include "core/reference.hpp"
+
+#if __has_include(<sys/mman.h>)
+#include <sys/mman.h>
+#include <unistd.h>
+#define NUSTENCIL_HAVE_MMAN 1
+#endif
 
 namespace nustencil::core {
 namespace {
@@ -42,11 +49,10 @@ std::vector<double> run_with_policy(const Coord& shape, const StencilSpec& st,
                                     KernelPolicy policy, long steps,
                                     unsigned seed,
                                     FieldPad pad = FieldPad::None,
-                                    StorePolicy stores = StorePolicy::Auto,
                                     KernelChoice* chosen = nullptr) {
   Problem p(shape, st, pad);
   p.initialize(seed);
-  Executor e(p, {}, policy, stores);
+  Executor e(p, {}, policy);
   if (chosen) *chosen = e.kernel();
   for (long t = 0; t < steps; ++t) e.update_box(whole(shape), t, 0);
   const Field& f = p.buffer(steps);
@@ -246,16 +252,6 @@ TEST(KernelDispatch, PolicyNamesAreCaseInsensitive) {
   EXPECT_EQ(parse_kernel_policy("AVX2"), KernelPolicy::AVX2);
   EXPECT_EQ(parse_kernel_policy("Fma"), KernelPolicy::FMA);
   EXPECT_EQ(parse_kernel_policy("SCALAR"), KernelPolicy::Scalar);
-  EXPECT_EQ(parse_store_policy("Stream"), StorePolicy::Stream);
-  EXPECT_EQ(parse_store_policy("REGULAR"), StorePolicy::Regular);
-}
-
-TEST(KernelDispatch, StorePolicyParsingRoundTrips) {
-  for (StorePolicy s :
-       {StorePolicy::Auto, StorePolicy::Stream, StorePolicy::Regular})
-    EXPECT_EQ(parse_store_policy(to_string(s)), s);
-  EXPECT_THROW(parse_store_policy("nontemporal"), Error);
-  EXPECT_THROW(parse_store_policy(""), Error);
 }
 
 TEST(KernelDispatch, FieldPaddingInvariants) {
@@ -324,7 +320,7 @@ TEST(KernelDispatch, RotatedKernelEngagesAndIsBitExact) {
       KernelChoice chosen;
       const std::vector<double> got =
           run_with_policy(c.shape, st, KernelPolicy::AVX2, 3, 42,
-                          FieldPad::None, StorePolicy::Auto, &chosen);
+                          FieldPad::None, &chosen);
       EXPECT_TRUE(chosen.rotated)
           << "order=" << c.order << " banded=" << banded
           << " kernel=" << chosen.name();
@@ -335,17 +331,15 @@ TEST(KernelDispatch, RotatedKernelEngagesAndIsBitExact) {
   // Non-rank-3 stencils have no rotated kernel.
   KernelChoice flat;
   run_with_policy(Coord{24, 9}, StencilSpec::stable_star(2, 1),
-                  KernelPolicy::AVX2, 1, 42, FieldPad::None, StorePolicy::Auto,
-                  &flat);
+                  KernelPolicy::AVX2, 1, 42, FieldPad::None, &flat);
   EXPECT_FALSE(flat.rotated);
 }
 
-TEST(KernelDispatch, StreamingStoresBitExactOnPaddedLayout) {
+TEST(KernelDispatch, RotatedKernelBitExactOnPaddedLayout) {
   if (!kernel_isa_supported(KernelIsa::AVX2))
     GTEST_SKIP() << "host has no AVX2";
-  // Forced streaming on a padded (aligned) layout of a prime-sized
-  // domain: must engage, and stay bitwise identical to the dense scalar
-  // run.
+  // The rotated kernel on a padded (aligned) layout of a prime-sized
+  // domain must stay bitwise identical to the dense scalar run.
   const Coord shape{29, 6, 5};
   for (const bool banded : {false, true}) {
     const StencilSpec st =
@@ -355,53 +349,10 @@ TEST(KernelDispatch, StreamingStoresBitExactOnPaddedLayout) {
     KernelChoice chosen;
     const std::vector<double> got =
         run_with_policy(shape, st, KernelPolicy::Auto, 3, 11, FieldPad::Rows64,
-                        StorePolicy::Stream, &chosen);
-    EXPECT_TRUE(chosen.stream) << chosen.name();
+                        &chosen);
     EXPECT_TRUE(chosen.rotated) << chosen.name();
     EXPECT_TRUE(bitwise_equal(ref, got)) << "banded=" << banded;
   }
-}
-
-TEST(KernelDispatch, StreamingFallsBackOnUnalignedRows) {
-  if (!kernel_isa_supported(KernelIsa::AVX2))
-    GTEST_SKIP() << "host has no AVX2";
-  // Dense rows of a non-multiple-of-8 extent are not 64B-aligned, so a
-  // forced Stream request degrades to regular stores (and says so in the
-  // kernel name), while an aligned dense extent honours it.
-  KernelChoice unaligned;
-  run_with_policy(Coord{29, 6, 5}, StencilSpec::stable_star(3, 1),
-                  KernelPolicy::Auto, 1, 11, FieldPad::None,
-                  StorePolicy::Stream, &unaligned);
-  EXPECT_FALSE(unaligned.stream) << unaligned.name();
-  KernelChoice aligned;
-  run_with_policy(Coord{32, 6, 5}, StencilSpec::stable_star(3, 1),
-                  KernelPolicy::Auto, 1, 11, FieldPad::None,
-                  StorePolicy::Stream, &aligned);
-  EXPECT_TRUE(aligned.stream) << aligned.name();
-  EXPECT_NE(aligned.name().find("+nt"), std::string::npos);
-}
-
-TEST(KernelDispatch, AutoStoresUseLlcThreshold) {
-  if (!kernel_isa_supported(KernelIsa::AVX2))
-    GTEST_SKIP() << "host has no AVX2";
-  KernelRequest req;
-  req.ntaps = 7;
-  req.banded = false;
-  req.rank = 3;
-  req.order = 1;
-  req.rows_aligned = true;
-  req.stores = StorePolicy::Auto;
-  req.bytes_touched = stream_auto_threshold_bytes();
-  EXPECT_TRUE(select_kernel(KernelPolicy::Auto, req).stream);
-  req.bytes_touched = stream_auto_threshold_bytes() - 1;
-  EXPECT_FALSE(select_kernel(KernelPolicy::Auto, req).stream);
-  // Regular always wins; Stream needs the aligned layout.
-  req.bytes_touched = stream_auto_threshold_bytes();
-  req.stores = StorePolicy::Regular;
-  EXPECT_FALSE(select_kernel(KernelPolicy::Auto, req).stream);
-  req.stores = StorePolicy::Stream;
-  req.rows_aligned = false;
-  EXPECT_FALSE(select_kernel(KernelPolicy::Auto, req).stream);
 }
 
 TEST(KernelDispatch, MidVectorTileStartMatchesScalar) {
@@ -410,8 +361,7 @@ TEST(KernelDispatch, MidVectorTileStartMatchesScalar) {
   // A tile whose x range starts mid-vector forces the rotated kernel's
   // scalar peel and (near the row end) its per-tap fallback loop; the
   // result must still be bitwise identical to the scalar executor on the
-  // same sub-box.  Streaming is forced so the aligned-store discipline
-  // is exercised with an unaligned x0 too.
+  // same sub-box.
   const Coord shape{33, 6, 5};
   const StencilSpec st = StencilSpec::stable_star(3, 1);
   for (const auto& [x0, x1] : std::vector<std::pair<Index, Index>>{
@@ -425,8 +375,8 @@ TEST(KernelDispatch, MidVectorTileStartMatchesScalar) {
     es.update_box(tile, 0, 0);
     Problem pv(shape, st, FieldPad::Rows64);
     pv.initialize(3);
-    Executor ev(pv, {}, KernelPolicy::Auto, StorePolicy::Stream);
-    ASSERT_TRUE(ev.kernel().rotated && ev.kernel().stream);
+    Executor ev(pv, {}, KernelPolicy::Auto);
+    ASSERT_TRUE(ev.kernel().rotated);
     ev.update_box(tile, 0, 0);
     const Index xs = pv.buffer(1).xstride();
     bool equal = true;
@@ -438,6 +388,161 @@ TEST(KernelDispatch, MidVectorTileStartMatchesScalar) {
     EXPECT_TRUE(equal) << "x0=" << x0 << " x1=" << x1;
   }
 }
+
+TEST(KernelDispatch, KernelRequestMatchesExecutor) {
+  // --explain and run reports select from kernel_request_for(stencil);
+  // that must name the kernel the executor actually runs.
+  for (const StencilSpec& st :
+       {StencilSpec::paper_3d7p(), StencilSpec::stable_star(3, 2),
+        StencilSpec::banded_star(3, 3), StencilSpec::stable_star(2, 1)}) {
+    Problem p(st.rank() == 3 ? Coord{12, 12, 12} : Coord{12, 12}, st);
+    for (KernelPolicy policy : host_policies()) {
+      const Executor e(p, {}, policy);
+      EXPECT_EQ(select_kernel(policy, kernel_request_for(st)).name(),
+                e.kernel().name())
+          << "policy=" << to_string(policy) << " ntaps=" << st.npoints();
+    }
+  }
+}
+
+#if defined(NUSTENCIL_HAVE_MMAN)
+
+/// Row storage for the guard-page test: `nslots` data pages, each with a
+/// PROT_NONE page directly below and above it, in one mapping.
+class GuardedRows {
+ public:
+  explicit GuardedRows(int nslots)
+      : page_(static_cast<std::size_t>(sysconf(_SC_PAGESIZE))),
+        bytes_(page_ * static_cast<std::size_t>(2 * nslots + 1)) {
+    void* m = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (m == MAP_FAILED) throw Error("GuardedRows: mmap failed");
+    base_ = static_cast<double*>(m);
+    for (int g = 0; g <= nslots; ++g)
+      if (mprotect(static_cast<char*>(m) + 2 * static_cast<std::size_t>(g) * page_,
+                   page_, PROT_NONE) != 0)
+        throw Error("GuardedRows: mprotect failed");
+    for (int i = 0; i < nslots; ++i)
+      for (Index x = 0; x < doubles_per_page(); ++x)
+        base_[begin(i) + x] = initial_value(i * doubles_per_page() + x, 17);
+  }
+  ~GuardedRows() { munmap(base_, bytes_); }
+  GuardedRows(const GuardedRows&) = delete;
+  GuardedRows& operator=(const GuardedRows&) = delete;
+
+  const double* base() const { return base_; }
+  Index doubles_per_page() const { return static_cast<Index>(page_ / sizeof(double)); }
+  /// Element index (from base()) of slot i's first readable double.
+  Index begin(int i) const { return (2 * i + 1) * doubles_per_page(); }
+  /// One past slot i's last readable double: the next guard page.
+  Index end(int i) const { return begin(i) + doubles_per_page(); }
+
+ private:
+  std::size_t page_;
+  std::size_t bytes_;
+  double* base_ = nullptr;
+};
+
+TEST(KernelDispatch, RowReadsStayInsideStencilReach) {
+  // Every tap row is placed so that the tile's stencil reach
+  // [x0 - s, x1 + s) starts exactly at the end of one PROT_NONE page or
+  // ends exactly at the start of the next: a single load outside the
+  // reach faults.  Every kernel the host runs (scalar, SSE2 and AVX2 v1
+  // in all three variants, the rotated v2 kernels with and without FMA)
+  // must stay inside and, FMA aside, match scalar bitwise.
+  std::vector<KernelIsa> isas{KernelIsa::Scalar};
+  if (kernel_isa_supported(KernelIsa::SSE2)) isas.push_back(KernelIsa::SSE2);
+  if (kernel_isa_supported(KernelIsa::AVX2)) isas.push_back(KernelIsa::AVX2);
+  const bool fma = kernel_isa_supported(KernelIsa::AVX2) && CpuFeatures::host().fma;
+
+  for (int order = 1; order <= 3; ++order) {
+    const int ntaps = 6 * order + 1;
+    const int nslots = 1 + 4 * order;  // centre row + one row per y/z tap
+    const GuardedRows rows(nslots);
+    std::vector<double> coeffs(static_cast<std::size_t>(ntaps));
+    for (int p = 0; p < ntaps; ++p)
+      coeffs[static_cast<std::size_t>(p)] = initial_value(p, 21);
+
+    for (const bool banded : {false, true}) {
+      std::vector<KernelChoice> kernels;
+      for (KernelIsa isa : isas)
+        for (KernelVariant v :
+             {KernelVariant::Specialized, KernelVariant::Generic, KernelVariant::Legacy})
+          kernels.push_back(select_kernel_isa(isa, false, ntaps, banded, v));
+      const KernelRequest req = kernel_request_for(
+          banded ? StencilSpec::banded_star(3, order) : StencilSpec::stable_star(3, order));
+      if (kernel_isa_supported(KernelIsa::AVX2)) {
+        kernels.push_back(select_kernel(KernelPolicy::AVX2, req));
+        EXPECT_TRUE(kernels.back().rotated) << kernels.back().name();
+      }
+      if (fma) {
+        kernels.push_back(select_kernel(KernelPolicy::FMA, req));
+        EXPECT_TRUE(kernels.back().rotated && kernels.back().fma)
+            << kernels.back().name();
+      }
+      const KernelChoice scalar =
+          select_kernel_isa(KernelIsa::Scalar, false, ntaps, banded);
+
+      const Index full = rows.doubles_per_page() - 2 * order;
+      for (const Index x0 : {Index{8}, Index{5}, Index{6}, Index{7}}) {
+        for (const Index len : {Index{1}, Index{3}, Index{4}, Index{7}, Index{9},
+                                Index{17}, Index{33}, Index{64}, full}) {
+          const Index x1 = x0 + len;
+          std::vector<std::vector<double>> bands(static_cast<std::size_t>(ntaps));
+          std::vector<const double*> bandp(static_cast<std::size_t>(ntaps));
+          for (int p = 0; p < ntaps; ++p) {
+            auto& b = bands[static_cast<std::size_t>(p)];
+            b.resize(static_cast<std::size_t>(x1));
+            for (Index x = 0; x < x1; ++x)
+              b[static_cast<std::size_t>(x)] = initial_value(p * x1 + x, 5);
+            bandp[static_cast<std::size_t>(p)] = b.data();
+          }
+          KernelArgs ka;
+          ka.src = rows.base();
+          ka.coeffs = coeffs.data();
+          ka.bands = bandp.data();
+          ka.ntaps = ntaps;
+          for (const bool against_upper : {false, true}) {
+            // Row base of slot i under this placement.
+            const auto row_of = [&](int i) {
+              return against_upper ? rows.end(i) - (x1 + order)
+                                   : rows.begin(i) - (x0 - order);
+            };
+            // Spec tap order: centre, x -s..-1, x +1..+s, then y/z taps.
+            std::vector<Index> bases(static_cast<std::size_t>(ntaps));
+            bases[0] = row_of(0);
+            for (int p = 1; p <= 2 * order; ++p)
+              bases[static_cast<std::size_t>(p)] =
+                  bases[0] + (p <= order ? p - 1 - order : p - order);
+            for (int p = 2 * order + 1; p < ntaps; ++p)
+              bases[static_cast<std::size_t>(p)] = row_of(p - 2 * order);
+
+            std::vector<double> ref(static_cast<std::size_t>(x1), -1.0);
+            ka.dst = ref.data();
+            scalar.fn(ka, bases.data(), 0, x0, x1);
+            for (const KernelChoice& k : kernels) {
+              std::vector<double> got(static_cast<std::size_t>(x1), -1.0);
+              ka.dst = got.data();
+              k.fn(ka, bases.data(), 0, x0, x1);
+              const std::string where =
+                  k.name() + " x0=" + std::to_string(x0) + " x1=" + std::to_string(x1) +
+                  (against_upper ? " (upper guard)" : " (lower guard)");
+              if (k.fma) {
+                for (std::size_t i = 0; i < ref.size(); ++i)
+                  ASSERT_LE(std::abs(ref[i] - got[i]), 1e-13 * std::max(1.0, std::abs(ref[i])))
+                      << where;
+              } else {
+                ASSERT_TRUE(bitwise_equal(ref, got)) << where;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+#endif  // NUSTENCIL_HAVE_MMAN
 
 }  // namespace
 }  // namespace nustencil::core

@@ -289,11 +289,6 @@ int main(int argc, char** argv) try {
                   "row-kernel policy: auto, scalar, sse2, avx2, fma (not "
                   "bit-exact), or generic (runtime-taps baseline)",
                   "auto");
-  args.add_option("kernel-stores",
-                  "write-field store discipline: auto (stream only "
-                  "LLC-busting sweeps on 64B-aligned rows), stream (force "
-                  "non-temporal stores where the layout allows), or regular",
-                  "auto");
   args.add_flag("banded", "variable coefficients (7-band matrix for s=1)");
   args.add_flag("dirichlet", "Dirichlet boundaries in every dimension");
   args.add_flag("instrument", "measure NUMA locality under --machine's topology");
@@ -337,8 +332,6 @@ int main(int argc, char** argv) try {
   const core::KernelPolicy kernel_policy =
       args.get_flag("no-simd") ? core::KernelPolicy::Scalar
                                : core::parse_kernel_policy(args.get("kernel"));
-  const core::StorePolicy kernel_stores =
-      core::parse_store_policy(args.get("kernel-stores"));
 
   const hwc::Mode hw_mode = hwc::parse_mode(args.get("hw-counters"));
   std::vector<hwc::Event> hw_events;
@@ -354,20 +347,9 @@ int main(int argc, char** argv) try {
                   "--hw-counters=on: this build has no perf_event backend "
                   "(non-Linux); use auto or off");
 
-  // What the executors will ask the kernel engine for (geometry, layout,
-  // store policy) — drives --explain and the run report.  The CLI's
-  // problems use the dense layout, whose rows are 64B-aligned exactly
-  // when the x extent is a multiple of 8 doubles.
-  core::KernelRequest kernel_request;
-  kernel_request.ntaps = stencil.npoints();
-  kernel_request.banded = stencil.banded();
-  kernel_request.rank = shape.rank();
-  kernel_request.order = stencil.order();
-  kernel_request.rows_aligned = shape[0] % 8 == 0;
-  kernel_request.stores = kernel_stores;
-  kernel_request.bytes_touched =
-      (2 + (stencil.banded() ? stencil.npoints() : 0)) * shape.product() *
-      static_cast<Index>(sizeof(double));
+  // The request every executor of the run builds: drives --explain and
+  // the run report.
+  const core::KernelRequest kernel_request = core::kernel_request_for(stencil);
 
   const std::string trace_path = args.get("trace");
   const std::string trace_svg_path = args.get("trace-svg");
@@ -452,7 +434,6 @@ int main(int argc, char** argv) try {
     cfg.check_dependencies = args.get_flag("check");
     cfg.use_simd = !args.get_flag("no-simd");
     cfg.kernel = kernel_policy;
-    cfg.kernel_stores = kernel_stores;
     cfg.pin_threads = args.get_flag("pin");
     cfg.schedule = schedule;
     cfg.group_size = group_size_raw == 0
