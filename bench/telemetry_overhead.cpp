@@ -1,6 +1,6 @@
 // bench/telemetry_overhead — measures what the live telemetry sampler
 // costs the run it watches: the same nuCATS problem is timed with
-// telemetry off and with a 10 ms sampler attached (progress slots bound,
+// telemetry off and with a 10 ms sampler attached (heartbeat meter bound,
 // rings filling, no file exports), and the median-vs-median overhead
 // lands in the JSON as telemetry/overhead_pct.
 //
@@ -87,9 +87,9 @@ int main(int argc, char** argv) try {
   const std::uint64_t threads_delta_off =
       telemetry::Sampler::threads_started() - threads_before;
 
-  // On group: progress slots bound, sampler ticking, rings filling — the
-  // full in-memory pipeline, minus file exports (those are I/O-bound and
-  // measured by their own CI leg).
+  // On group: meter bound to the probe set, sampler ticking, rings
+  // filling — the full in-memory pipeline, minus file exports (those are
+  // I/O-bound and measured by their own CI leg).
   std::vector<double> on_s;
   std::ostringstream beat_sink;
   for (int r = 0; r < reps; ++r) {

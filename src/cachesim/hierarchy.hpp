@@ -43,6 +43,7 @@ class Hierarchy {
 
   HierarchyTraffic traffic() const;
   Index line_bytes() const { return line_bytes_; }
+  std::size_t levels() const { return caches_.size(); }
 
   /// Per-level hit/miss counters attributed to the accessing core (one
   /// entry per cache level).  The global per-Cache counters cannot be

@@ -31,14 +31,16 @@ class SharedHierarchy {
 
   Index line_bytes() const { return hierarchy_.line_bytes(); }
 
-  /// Per-core attribution counters of `core` (see Hierarchy::core_traffic).
-  /// Deliberately lock-free: every access by core c is issued by thread c
-  /// (executors pass their own tid as the core), so the row is
-  /// single-writer and the owning thread may read it without taking the
-  /// mutex — the per-span counter sampler does, at leaf-span boundaries.
-  /// Other threads must only call this after the worker team has joined.
-  const std::vector<LevelTraffic>& core_traffic(int core) const {
-    return hierarchy_.core_traffic(core);
+  /// Simulated cache levels (fixed at construction).
+  std::size_t levels() const { return hierarchy_.levels(); }
+
+  /// Calls `read(levels)` with the per-core attribution counters of
+  /// `core` (see Hierarchy::core_traffic) under the simulator's mutex, so
+  /// any thread may read any core's counters while workers simulate.
+  template <class Read>
+  void read_core_traffic(int core, Read&& read) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    read(hierarchy_.core_traffic(core));
   }
 
  private:

@@ -47,8 +47,6 @@ Executor::Executor(Problem& problem, Instrumentation instr, KernelPolicy policy)
   nx_ = shape[0];
   ny_ = shape.rank() >= 2 ? shape[1] : 1;
   nz_ = shape.rank() >= 3 ? shape[2] : 1;
-  // Storage strides, not logical ones: under FieldPad::Rows64 a row
-  // occupies xstride >= nx elements (identical for dense layouts).
   const Field& f0 = problem.buffer(0);
   sy_ = shape.rank() >= 2 ? f0.strides()[1] : f0.xstride();
   sz_ = shape.rank() >= 3 ? f0.strides()[2] : sy_ * ny_;
@@ -165,18 +163,12 @@ Index Executor::update_box(const Box& box, long t, int tid) {
       }
     }
   }
-  updates_ += done;
+  trace::single_writer_add(probe_->updates, static_cast<std::uint64_t>(done));
   if (m_tiles_) {
     m_tiles_->add(tid);
     m_tile_hist_->observe(tid, static_cast<std::uint64_t>(done));
   }
-  if (instr_.traffic) instr_.traffic->tick_updates(tid, static_cast<std::uint64_t>(done));
-  if (instr_.progress) {
-    std::uint64_t local = 0, remote = 0, unowned = 0;
-    if (instr_.traffic) instr_.traffic->thread_bytes(tid, local, remote, unowned);
-    instr_.progress->publish(tid, static_cast<std::uint64_t>(updates_), local,
-                             remote);
-  }
+  if (instr_.traffic) instr_.traffic->tick_updates(tid);
   return done;
 }
 

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <array>
+#include <memory>
 
 #include "cachesim/shared.hpp"
 #include "core/box.hpp"
@@ -19,7 +20,7 @@
 #include "core/kernels.hpp"
 #include "metrics/registry.hpp"
 #include "numa/traffic.hpp"
-#include "prof/progress.hpp"
+#include "prof/probes.hpp"
 #include "trace/trace.hpp"
 
 namespace nustencil::core {
@@ -39,10 +40,6 @@ struct Instrumentation {
   /// variant, slow boundary cells, tile-size histogram).  Null disables
   /// every metrics hook at the cost of one branch.
   metrics::Registry* metrics = nullptr;
-  /// Live heartbeat target: update_box publishes the thread's cumulative
-  /// updates and traffic bytes after every tile.  Null (the default)
-  /// disables the hook at the cost of one branch.
-  prof::ProgressMeter* progress = nullptr;
 };
 
 /// How one physical row segment [a, b) splits into wrap-checked slow
@@ -82,7 +79,17 @@ class Executor {
   void first_touch_box(const Box& box, int node, unsigned seed);
 
   const Problem& problem() const { return *problem_; }
-  Index updates_done() const { return updates_; }
+  Index updates_done() const {
+    return static_cast<Index>(probe_->updates.load(std::memory_order_relaxed));
+  }
+
+  /// Binds the probe shard update_box counts cell updates into
+  /// (RunSupport binds shard `tid` of the run's probe set to executor
+  /// `tid`, so live readers see the count).  An unbound executor counts
+  /// into a private shard.
+  void set_probe(prof::Probes::Shard* shard) {
+    probe_ = shard ? shard : own_probe_.get();
+  }
 
   /// Attaches the owning thread's span recorder: update_box then records
   /// a `tile` span (box origin + executing thread in the args) and
@@ -103,7 +110,10 @@ class Executor {
   Instrumentation instr_;
   KernelChoice kernel_;
   trace::ThreadRecorder* trace_ = nullptr;
-  Index updates_ = 0;
+  // Heap-held so a moved executor keeps counting into the same shard.
+  std::unique_ptr<prof::Probes::Shard> own_probe_ =
+      std::make_unique<prof::Probes::Shard>();
+  prof::Probes::Shard* probe_ = own_probe_.get();
 
   // Metrics instruments, resolved once at construction (null when
   // Instrumentation::metrics is null; each hook is then one branch).
@@ -116,8 +126,6 @@ class Executor {
   std::array<const double*, kMaxTaps> band_ptrs_{};
 
   // Cached geometry (normalised to 3D: missing dims have extent 1).
-  // Strides come from the fields, so padded layouts (xstride > nx) work
-  // transparently.
   Index nx_, ny_, nz_;
   Index sy_, sz_;  // storage strides of dims 1 and 2
 };

@@ -80,7 +80,7 @@ ThreadSet::ThreadSet(SyscallBackend& backend, Mode mode,
     probe_.status = "ok";
   }
 
-  threads_.resize(static_cast<std::size_t>(num_threads));
+  threads_ = std::vector<PerThread>(static_cast<std::size_t>(num_threads));
 }
 
 ThreadSet::~ThreadSet() {
@@ -94,7 +94,6 @@ ThreadSet::~ThreadSet() {
 }
 
 void ThreadSet::open_thread(PerThread& t) {
-  t.opened = true;
   for (const Event e : events_) {
     int fd = -1;
     if (!t.groups.empty()) {
@@ -116,12 +115,13 @@ void ThreadSet::open_thread(PerThread& t) {
     g.fds.push_back(fd);
     t.groups.push_back(std::move(g));
   }
+  t.opened.store(true, std::memory_order_release);
 }
 
 void ThreadSet::attach(int tid) {
   if (!active_) return;
   PerThread& t = threads_[static_cast<std::size_t>(tid)];
-  if (!t.opened) open_thread(t);
+  if (!t.opened.load(std::memory_order_relaxed)) open_thread(t);
   if (t.enabled) return;
   for (const SubGroup& g : t.groups) backend_->enable(g.leader_fd);
   t.enabled = true;
@@ -138,7 +138,8 @@ void ThreadSet::detach(int tid) {
 void ThreadSet::sample(int tid, trace::CounterSet& out) const {
   if (!active_) return;
   const PerThread& t = threads_[static_cast<std::size_t>(tid)];
-  if (!t.opened) return;  // e.g. serial init on the main thread
+  // Not opened yet: e.g. serial init on the main thread.
+  if (!t.opened.load(std::memory_order_acquire)) return;
   GroupReading r;
   for (const SubGroup& g : t.groups) {
     if (backend_->read_group(g.leader_fd, static_cast<int>(g.members.size()),
@@ -156,7 +157,7 @@ HwRunStats ThreadSet::stats() const {
   for (std::size_t tid = 0; tid < threads_.size(); ++tid) {
     const PerThread& t = threads_[tid];
     HwRunStats::Thread& out = s.threads[tid];
-    if (!t.opened) continue;
+    if (!t.opened.load(std::memory_order_acquire)) continue;
     GroupReading r;
     for (const SubGroup& g : t.groups) {
       if (backend_->read_group(g.leader_fd, static_cast<int>(g.members.size()),

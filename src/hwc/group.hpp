@@ -5,7 +5,7 @@
 // binds the counter to the *calling* thread — and stay open for the
 // whole run because the team's workers are persistent.  attach()/
 // detach() bracket each parallel region with one enable/disable ioctl
-// per group (not per span); inside the region the profiler samples the
+// per group (not per span); inside the region the probe set samples the
 // cumulative values at leaf-span boundaries, so measured deltas ride
 // the exact out-of-ring accumulation the simulated counters use.
 //
@@ -23,6 +23,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -118,8 +119,8 @@ class ThreadSet {
   void detach(int tid);
 
   /// Cumulative counter read into the hw slots of `out` (other slots
-  /// untouched).  Called by the profiler from the owning thread at
-  /// leaf-span boundaries.
+  /// untouched).  Safe from any thread: the run's probe set calls it at
+  /// leaf-span boundaries and from the telemetry sampler.
   void sample(int tid, trace::CounterSet& out) const;
 
   /// Final per-thread reads folded into the run stats (attributed totals
@@ -137,7 +138,9 @@ class ThreadSet {
     std::vector<int> fds;        ///< parallel to members; fds[0] == leader_fd
   };
   struct PerThread {
-    bool opened = false;
+    /// Set (release) by the worker once `groups` is built, so a sampler
+    /// on another thread that sees it (acquire) also sees the groups.
+    std::atomic<bool> opened{false};
     bool enabled = false;
     std::vector<SubGroup> groups;
   };

@@ -1,10 +1,10 @@
 // Per-thread NUMA traffic accounting.
 //
-// Schemes call account_read/account_write at tile granularity with the
-// byte ranges they touch; the counters classify each range against the
-// first-touch page table as local (page owned by the accessing thread's
-// node) or remote, and record the per-node demand distribution the
-// performance model needs.
+// Executors call account() at row granularity with the byte ranges they
+// touch; the recorder classifies each range against the first-touch page
+// table as local (page owned by the accessing thread's node) or remote,
+// adds the bytes to the thread's probe shard (prof::Probes), and records
+// the node-to-node demand matrix the performance model needs.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +12,7 @@
 
 #include "common/aligned.hpp"
 #include "numa/page_table.hpp"
+#include "prof/probes.hpp"
 #include "topology/machine.hpp"
 
 namespace nustencil::numa {
@@ -95,14 +96,18 @@ struct TrafficStats {
   void merge(const TrafficStats& o);
 };
 
-/// One counter per thread; cache-line padded, merged after the run.
+/// Per-thread traffic accounting for the threads of `probes`: the
+/// local/remote/unowned byte totals live in the probe shards (readable
+/// mid-run), the node matrix and the locality windows here (cache-line
+/// padded per thread, merged after the run).
 class TrafficRecorder {
  public:
-  TrafficRecorder(const PageTable& pages, const VirtualTopology& topo, int num_threads);
+  TrafficRecorder(const PageTable& pages, const VirtualTopology& topo,
+                  prof::Probes& probes);
 
   /// Enables the windowed locality time-series: every thread closes a
-  /// window (pushing one LocalitySample) each time it has performed
-  /// another `updates` cell updates, as reported through tick_updates().
+  /// window (pushing one LocalitySample) each time its probe shard has
+  /// counted another `updates` cell updates, checked at tick_updates().
   /// 0 (the default) disables sampling.
   void set_sample_window(std::uint64_t updates) { sample_window_ = updates; }
   std::uint64_t sample_window() const { return sample_window_; }
@@ -113,52 +118,41 @@ class TrafficRecorder {
   /// even when the range straddles differently-owned pages.
   void account(int tid, RegionId region, Index byte_begin, Index byte_end);
 
-  /// Progress hook (executors call this once per tile): thread `tid` has
-  /// performed another `updates` cell updates.  Closes the thread's
-  /// sample window when it crosses the configured size; costs one branch
-  /// when sampling is disabled.
-  void tick_updates(int tid, std::uint64_t updates) {
+  /// Progress hook (executors call this once per tile, after counting
+  /// the tile's updates into the probe shard): closes thread `tid`'s
+  /// sample window when it has crossed the configured size; costs one
+  /// branch when sampling is disabled.
+  void tick_updates(int tid) {
     if (sample_window_ == 0) return;
-    PerThread& p = per_thread_[static_cast<std::size_t>(tid)];
-    p.window_updates += updates;
-    p.cum_updates += updates;
-    if (p.window_updates >= sample_window_) close_window(p);
+    const PerThread& p = per_thread_[static_cast<std::size_t>(tid)];
+    if (probes_->shard(tid).updates.load(std::memory_order_relaxed) -
+            p.window_start.at(trace::SpanCounter::Updates) >=
+        sample_window_)
+      close_window(tid);
   }
 
   /// Merged statistics over all threads.
   TrafficStats collect() const;
 
-  /// Cumulative byte counters of thread `tid`'s private shard.  The
-  /// shard is single-writer (only thread `tid` mutates it), so the
-  /// owning thread may read its own values without synchronisation —
-  /// the per-span counter sampler does, at leaf-span boundaries.  Other
-  /// threads must only call this after the worker team has joined.
-  void thread_bytes(int tid, std::uint64_t& local, std::uint64_t& remote,
-                    std::uint64_t& unowned) const {
-    const PerThread& p = per_thread_[static_cast<std::size_t>(tid)];
-    local = p.stats.local_bytes;
-    remote = p.stats.remote_bytes;
-    unowned = p.stats.unowned_bytes;
-  }
-
   const VirtualTopology& topology() const { return *topo_; }
 
  private:
   struct alignas(kCacheLineBytes) PerThread {
-    TrafficStats stats;
     int node = 0;  ///< the thread's NUMA node (fixed by the topology)
+    /// Owned bytes this thread demanded, by owning node (its row of the
+    /// node matrix).
+    std::vector<std::uint64_t> by_owner;
     // Locality time-series state.
-    std::uint64_t cum_updates = 0;
-    std::uint64_t window_updates = 0;
-    std::uint64_t sampled_local = 0;   ///< local_bytes at last window close
-    std::uint64_t sampled_remote = 0;  ///< remote_bytes at last window close
+    trace::CounterSet window_start;  ///< probe snapshot at the last close
     std::vector<LocalitySample> samples;
   };
 
-  void close_window(PerThread& p);
+  /// Pushes thread `tid`'s current window, read from a probe snapshot.
+  void close_window(int tid);
 
   const PageTable* pages_;
   const VirtualTopology* topo_;
+  prof::Probes* probes_;
   std::uint64_t sample_window_ = 0;
   std::vector<PerThread> per_thread_;
   mutable std::vector<std::vector<std::uint64_t>> scratch_;  // per-thread scratch

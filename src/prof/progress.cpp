@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "prof/probes.hpp"
 
 namespace nustencil::prof {
 
@@ -18,18 +19,22 @@ void ProgressMeter::begin_run(const std::string& label, int num_threads,
   NUSTENCIL_CHECK(num_threads >= 1, "ProgressMeter: need at least one thread");
   label_ = label;
   total_updates_ = total_updates;
-  slots_ = std::vector<Slot>(static_cast<std::size_t>(num_threads));
-  layer_.store(-1, std::memory_order_relaxed);
   last_updates_ = 0;
   last_beat_ = std::chrono::steady_clock::now();
 }
 
 std::string ProgressMeter::render_line() {
   std::uint64_t updates = 0, local = 0, remote = 0;
-  for (const Slot& s : slots_) {
-    updates += s.updates.load(std::memory_order_relaxed);
-    local += s.local_bytes.load(std::memory_order_relaxed);
-    remote += s.remote_bytes.load(std::memory_order_relaxed);
+  long layer = -1;
+  if (probes_) {
+    trace::CounterSet c;
+    for (int t = 0; t < probes_->num_threads(); ++t) {
+      probes_->snapshot(t, c);
+      updates += c.at(trace::SpanCounter::Updates);
+      local += c.at(trace::SpanCounter::LocalBytes);
+      remote += c.at(trace::SpanCounter::RemoteBytes);
+    }
+    layer = probes_->layer();
   }
   const auto now = std::chrono::steady_clock::now();
   const double dt = std::chrono::duration<double>(now - last_beat_).count();
@@ -46,8 +51,7 @@ std::string ProgressMeter::render_line() {
   line << "progress";
   if (!label_.empty()) line << " [" << label_ << ']';
   line << ": ";
-  if (const long layer = layer_.load(std::memory_order_relaxed); layer >= 0)
-    line << "layer " << layer << " | ";
+  if (layer >= 0) line << "layer " << layer << " | ";
   line << std::fixed << std::setprecision(1) << mups << " M up/s | locality "
        << std::setprecision(1) << locality << '%';
   if (total_updates_ > 0)

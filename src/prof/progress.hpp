@@ -1,29 +1,22 @@
-// Live progress state for long runs: per-thread publish slots plus the
-// heartbeat line renderer ("layer N | X.X M up/s | locality Y.Y%").
+// The --progress heartbeat line renderer ("layer N | X.X M up/s |
+// locality Y.Y%").
 //
-// Workers publish into cache-line-padded per-thread atomic slots with
-// relaxed stores (one branch + three stores per tile when enabled, one
-// null check when not), so the heartbeat never perturbs the measured
-// run: there is no lock on the publish path and readers tolerate torn
-// *sets* of slots — each slot itself is a word-sized atomic.
-//
-// Since the telemetry sampler landed there is exactly one periodic-
-// snapshot thread in the system: the meter no longer owns one.  The
-// telemetry::Sampler drives emit_beat()/emit_final() on its own cadence
-// (and reads the same slots for its time-series rings); the printed
-// output is unchanged.
+// The meter stores no counters of its own: RunSupport binds it to the
+// run's probe set, and every line sums the threads' probe snapshots, so
+// the heartbeat reads exactly what the trace spans and the telemetry
+// sampler read.  There is exactly one periodic-snapshot thread in the
+// system: the telemetry::Sampler drives emit_beat()/emit_final() on its
+// own cadence.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <vector>
-
-#include "common/aligned.hpp"
 
 namespace nustencil::prof {
+
+class Probes;
 
 class ProgressMeter {
  public:
@@ -34,29 +27,14 @@ class ProgressMeter {
   ProgressMeter(const ProgressMeter&) = delete;
   ProgressMeter& operator=(const ProgressMeter&) = delete;
 
-  /// Resets the slots for a new run.  `label` prefixes every line;
+  /// Resets the rate window for a new run.  `label` prefixes every line;
   /// `total_updates` (0 = unknown) adds a percent-done column.
   void begin_run(const std::string& label, int num_threads,
                  std::uint64_t total_updates);
 
-  /// Publishes thread `tid`'s cumulative progress (executors call this
-  /// once per tile).  Relaxed stores; call from thread `tid` only.
-  void publish(int tid, std::uint64_t updates, std::uint64_t local_bytes,
-               std::uint64_t remote_bytes) {
-    Slot& s = slots_[static_cast<std::size_t>(tid)];
-    s.updates.store(updates, std::memory_order_relaxed);
-    s.local_bytes.store(local_bytes, std::memory_order_relaxed);
-    s.remote_bytes.store(remote_bytes, std::memory_order_relaxed);
-  }
-
-  /// Advances the layer indicator (monotonic max; any thread may call).
-  void set_layer(long layer) {
-    long cur = layer_.load(std::memory_order_relaxed);
-    while (layer > cur &&
-           !layer_.compare_exchange_weak(cur, layer,
-                                         std::memory_order_relaxed)) {
-    }
-  }
+  /// The probe set the lines are read from (RunSupport binds the run's
+  /// own for its lifetime); null reads as an idle run.
+  void bind(const Probes* probes) { probes_ = probes; }
 
   /// One heartbeat line onto the configured stream; emit_final appends
   /// the " (final)" marker so runs shorter than the interval still
@@ -72,34 +50,12 @@ class ProgressMeter {
   /// Configured heartbeat cadence.
   double interval_s() const { return interval_s_; }
 
-  // Cross-thread snapshot readers for the telemetry sampler: relaxed
-  // atomic loads of single-writer slots — per-thread-coherent, not
-  // globally atomic, which is fine for monitoring.
-  int num_slots() const { return static_cast<int>(slots_.size()); }
-  void read_slot(int tid, std::uint64_t& updates, std::uint64_t& local_bytes,
-                 std::uint64_t& remote_bytes) const {
-    const Slot& s = slots_[static_cast<std::size_t>(tid)];
-    updates = s.updates.load(std::memory_order_relaxed);
-    local_bytes = s.local_bytes.load(std::memory_order_relaxed);
-    remote_bytes = s.remote_bytes.load(std::memory_order_relaxed);
-  }
-  long layer() const { return layer_.load(std::memory_order_relaxed); }
-  std::uint64_t total_updates() const { return total_updates_; }
-  const std::string& label() const { return label_; }
-
  private:
-  struct alignas(kCacheLineBytes) Slot {
-    std::atomic<std::uint64_t> updates{0};
-    std::atomic<std::uint64_t> local_bytes{0};
-    std::atomic<std::uint64_t> remote_bytes{0};
-  };
-
   double interval_s_;
   std::ostream* os_;
   std::string label_;
   std::uint64_t total_updates_ = 0;
-  std::vector<Slot> slots_;
-  std::atomic<long> layer_{-1};
+  const Probes* probes_ = nullptr;
 
   // Rate window state (heartbeat driver thread only).
   std::uint64_t last_updates_ = 0;

@@ -300,7 +300,7 @@ RunResult run_corals_like(core::Problem& problem, const RunConfig& config,
 
     for (long tb = 0; tb < config.timesteps; tb += tau) {
       const long tau_act = std::min<long>(tau, config.timesteps - tb);
-      if (config.progress) config.progress->set_layer(tb / tau);
+      sup.probes().set_layer(tb / tau);
       const trace::ScopedSpan layer_span(
           rec, trace::Phase::Layer,
           {static_cast<std::int32_t>(tb / tau), static_cast<std::int32_t>(tb),

@@ -64,7 +64,7 @@ RunResult DiamondScheme::run(core::Problem& problem, const RunConfig& config) co
     const int left = (tid + n - 1) % n;
     for (long tb = 0; tb < config.timesteps; tb += h) {
       const long hb = std::min<long>(h, config.timesteps - tb);
-      if (config.progress) config.progress->set_layer(tb / h);
+      sup.probes().set_layer(tb / h);
       const trace::ScopedSpan layer_span(
           rec, trace::Phase::Layer,
           {static_cast<std::int32_t>(tb / h), static_cast<std::int32_t>(tb),

@@ -304,7 +304,7 @@ RunResult run_mwd_like(core::Problem& problem, const RunConfig& config,
       // Step 0: the I columns sweep their full gaps, the V columns are
       // empty no-ops that still publish (wait_for(0) is trivially
       // satisfied, so no step-0 special casing exists elsewhere).
-      if (config.progress) config.progress->set_layer(0);
+      sup.probes().set_layer(0);
       {
         const trace::ScopedSpan layer_span(rec, trace::Phase::Layer, {0, 0, 1, grp});
         for (const int j : mine) {
@@ -320,7 +320,7 @@ RunResult run_mwd_like(core::Problem& problem, const RunConfig& config,
         const long t0 = w * tau + 1;
         if (t0 >= T) break;
         const long t1 = std::min((w + 1) * tau, T - 1);
-        if (config.progress) config.progress->set_layer(w + 1);
+        sup.probes().set_layer(w + 1);
         const trace::ScopedSpan layer_span(
             rec, trace::Phase::Layer,
             {static_cast<std::int32_t>(w + 1), static_cast<std::int32_t>(t0),

@@ -35,11 +35,12 @@ RedBlackResult run_redblack_smoother(core::Field& field,
 
   std::optional<numa::PageTable> pages;
   std::optional<numa::VirtualTopology> topo;
+  prof::Probes probes(threads);
   std::optional<numa::TrafficRecorder> recorder;
   if (machine) {
     pages.emplace();
     topo.emplace(*machine);
-    recorder.emplace(*pages, *topo, threads);
+    recorder.emplace(*pages, *topo, probes);
     field.attach(*pages, "rb");
   }
 

@@ -14,39 +14,24 @@ const topology::MachineSpec& default_machine() {
 }
 
 RunSupport::RunSupport(core::Problem& problem, const RunConfig& config)
-    : problem_(&problem), config_(&config) {
+    : problem_(&problem), config_(&config), probes_(config.num_threads) {
   machine_ = config.machine ? config.machine : &default_machine();
-  NUSTENCIL_CHECK(config.num_threads >= 1, "RunConfig: need at least one thread");
   NUSTENCIL_CHECK(config.timesteps >= 1, "RunConfig: need at least one time step");
   if (config.instrument) {
     NUSTENCIL_CHECK(config.num_threads <= machine_->cores(),
                     "RunConfig: more threads than cores on the instrumented machine");
     pages_.emplace(config.page_bytes);
     topo_.emplace(*machine_, config.pin_policy);
-    recorder_.emplace(*pages_, *topo_, config.num_threads);
+    recorder_.emplace(*pages_, *topo_, probes_);
     problem.attach(*pages_);
-    if (config.locality_sample_updates >= 0) {
-      Index window = config.locality_sample_updates;
-      if (window == 0) {
-        // Auto: ~32 samples per thread over the whole run.
-        const Index per_thread = problem.volume() * config.timesteps /
-                                 std::max(1, config.num_threads);
-        window = std::max<Index>(1, per_thread / 32);
-      }
-      recorder_->set_sample_window(window);
-    }
+    // About 32 locality samples per thread over the whole run.
+    const Index per_thread =
+        problem.volume() * config.timesteps / config.num_threads;
+    recorder_->set_sample_window(
+        static_cast<std::uint64_t>(std::max<Index>(1, per_thread / 32)));
   }
-  if (config.check_dependencies) {
-    // The executors commit *storage* indices, so the shadow grid covers
-    // the storage layout; padding cells (padded layouts only) are never
-    // updated and are frozen so check_all_at ignores them.
-    checker_.emplace(problem.storage_volume());
-    const Index xs = problem.buffer(0).xstride();
-    const Index nx = problem.shape()[0];
-    if (xs != nx)
-      for (Index row = 0; row < problem.storage_volume(); row += xs)
-        for (Index x = nx; x < xs; ++x) checker_->freeze(row + x);
-  }
+  if (config.check_dependencies) checker_.emplace(problem.volume());
+  probes_.set_cache(config.cache_sim);
 
   if (config.trace) {
     trace_ = config.trace;
@@ -62,12 +47,11 @@ RunSupport::RunSupport(core::Problem& problem, const RunConfig& config)
   instr.checker = checker_ ? &*checker_ : nullptr;
   instr.cache_sim = config.cache_sim;
   instr.metrics = config.metrics;
-  instr.progress = config.progress;
-  const core::KernelPolicy policy =
-      config.use_simd ? config.kernel : core::KernelPolicy::Scalar;
   for (int tid = 0; tid < config.num_threads; ++tid) {
-    executors_.push_back(std::make_unique<core::Executor>(problem, instr, policy));
+    executors_.push_back(
+        std::make_unique<core::Executor>(problem, instr, config.kernel));
     executors_.back()->set_trace(recorder(tid));
+    executors_.back()->set_probe(&probes_.shard(tid));
   }
 
   if (config.hw_mode != hwc::Mode::Off) {
@@ -75,45 +59,33 @@ RunSupport::RunSupport(core::Problem& problem, const RunConfig& config)
         config.hw_backend ? *config.hw_backend : hwc::real_backend();
     hw_.emplace(backend, config.hw_mode, config.hw_events, config.num_threads);
   }
-
-  // The per-span sampler is wanted for explicit profiling and whenever
-  // hardware counters measure into a trace (measured deltas ride the
-  // same sampler path as the simulated ones).
   const bool hw_sampling = hw_ && hw_->active();
+  if (hw_sampling)
+    probes_.set_hw(
+        [this](int tid, trace::CounterSet& out) { hw_->sample(tid, out); });
+
+  // Per-span deltas are wanted for explicit profiling and whenever
+  // hardware counters measure into a trace (measured deltas ride the
+  // same snapshot as the simulated ones).
   if ((config.profile_spans || hw_sampling) && trace_) {
-    profiler_.emplace();
-    profiler_->set_updates_source([this](int tid) {
-      return static_cast<std::uint64_t>(
-          executors_[static_cast<std::size_t>(tid)]->updates_done());
-    });
-    if (recorder_) profiler_->set_traffic_source(&*recorder_);
-    if (config.cache_sim) profiler_->set_cache_source(config.cache_sim);
-    if (hw_sampling)
-      profiler_->set_hw_source(
-          [this](int tid, trace::CounterSet& out) { hw_->sample(tid, out); });
-    trace_->set_sampler(&*profiler_);
+    trace_->set_sampler(&probes_);
     trace_->set_flops_per_update(problem.stencil().flops());
   }
+  if (config.progress) config.progress->bind(&probes_);
 
   team_ = std::make_unique<threading::Team>(config.num_threads, config.pin_threads);
 
-  // Bind the live telemetry sampler last, when every shard it snapshots
-  // exists.  All sources are single-writer stores the sampler only
-  // reads, so the hot path gains no new writes.
+  // Bind the live telemetry sampler last, when every source it reads
+  // exists.  It reads the probe set and the trace totals the workers
+  // already write, so the hot path gains no new writes.
   if (config.telemetry) {
     telemetry::RunSources sources;
-    sources.num_threads = config.num_threads;
+    sources.probes = &probes_;
     sources.timesteps = config.timesteps;
-    sources.progress = config.progress;
-    sources.traffic = recorder_ ? &*recorder_ : nullptr;
-    sources.cache = config.cache_sim;
     sources.registry = config.metrics;
     sources.trace = trace_;
     sources.abort = &abort_;
-    if (hw_ && hw_->active()) {
-      sources.hw = [this](int tid, trace::CounterSet& out) {
-        hw_->sample(tid, out);
-      };
+    if (hw_) {
       const hwc::HwRunStats hw_stats = hw_->stats();
       sources.hw_status = hw_stats.status;
       sources.hw_reason = hw_stats.reason;
@@ -123,15 +95,16 @@ RunSupport::RunSupport(core::Problem& problem, const RunConfig& config)
 }
 
 RunSupport::~RunSupport() {
-  // The sampler must stop reading before the shards it points into die.
+  // Readers must stop before the probe set they point into dies.
   if (config_->telemetry) config_->telemetry->detach_run();
-  if (profiler_ && trace_) trace_->set_sampler(nullptr);
+  if (config_->progress) config_->progress->bind(nullptr);
+  if (trace_ && trace_->sampler() == &probes_) trace_->set_sampler(nullptr);
 }
 
 void RunSupport::run_workers(const std::function<void(int)>& body) {
   team_->run([&](int tid) {
     // Counters stay enabled for the whole parallel region (one ioctl
-    // pair per region, not per span); the profiler samples cumulative
+    // pair per region, not per span); the probe set samples cumulative
     // values at span boundaries in between.
     if (hw_) hw_->attach(tid);
     try {
@@ -201,7 +174,9 @@ void RunSupport::finalize_boundary() {
 
 Index RunSupport::total_updates() const {
   Index total = 0;
-  for (const auto& e : executors_) total += e->updates_done();
+  for (int tid = 0; tid < probes_.num_threads(); ++tid)
+    total += static_cast<Index>(
+        probes_.shard(tid).updates.load(std::memory_order_relaxed));
   return total;
 }
 
@@ -218,7 +193,7 @@ RunResult RunSupport::finish(const std::string& scheme_name, double seconds) {
     config_->telemetry->end_run(seconds, static_cast<std::uint64_t>(r.updates));
   if (recorder_) r.traffic = recorder_->collect();
   if (trace_) r.phases = trace_->breakdown();
-  if (profiler_ && trace_ && config_->profile_spans)
+  if (trace_ && trace_->sampler() == &probes_ && config_->profile_spans)
     r.prof = prof::summarize(*trace_, trace_->flops_per_update());
   if (hw_) {
     r.hw = hw_->stats();

@@ -13,7 +13,7 @@
 #include "core/reference.hpp"
 #include "numa/page_table.hpp"
 #include "numa/traffic.hpp"
-#include "prof/profiler.hpp"
+#include "prof/probes.hpp"
 #include "sched/pool.hpp"
 #include "schemes/scheme.hpp"
 #include "thread/abort.hpp"
@@ -28,14 +28,18 @@ class RunSupport {
  public:
   RunSupport(core::Problem& problem, const RunConfig& config);
 
-  /// Detaches the per-span counter sampler from the (caller-owned) trace
-  /// so a reused Trace never dereferences a dead Profiler.
+  /// Detaches the probe set from the (caller-owned) trace, progress meter
+  /// and telemetry sampler, so none of them dereferences a dead run.
   ~RunSupport();
 
   core::Problem& problem() { return *problem_; }
   const RunConfig& config() const { return *config_; }
   const topology::MachineSpec& machine() const { return *machine_; }
   threading::Team& team() { return *team_; }
+
+  /// The run's probe set: per-thread counters, cache simulator, hardware
+  /// callback and layer indicator; the one source every reader snapshots.
+  prof::Probes& probes() { return probes_; }
 
   /// Abort token shared by all spin-waits/barriers of this run.
   const threading::AbortToken& abort() const { return abort_; }
@@ -87,12 +91,12 @@ class RunSupport {
   core::Problem* problem_;
   const RunConfig* config_;
   const topology::MachineSpec* machine_;
+  prof::Probes probes_;
   std::optional<trace::Trace> own_trace_;  ///< metrics-only fallback recorder
   trace::Trace* trace_ = nullptr;
   std::optional<numa::PageTable> pages_;
   std::optional<numa::VirtualTopology> topo_;
   std::optional<numa::TrafficRecorder> recorder_;
-  std::optional<prof::Profiler> profiler_;  ///< per-span counter sampler
   std::optional<hwc::ThreadSet> hw_;        ///< per-thread perf counter groups
   std::optional<core::DependencyChecker> checker_;
   std::vector<std::unique_ptr<core::Executor>> executors_;

@@ -42,11 +42,8 @@ struct RunConfig {
   /// Validate the dependency order of every single cell update (slow).
   bool check_dependencies = false;
 
-  bool use_simd = true;
-
   /// Row-kernel variant selection (see core/kernels.hpp).  Auto picks
-  /// the widest ISA the host supports with a tap-specialized kernel;
-  /// `use_simd = false` forces Scalar regardless of this policy.
+  /// the widest ISA the host supports with a tap-specialized kernel.
   core::KernelPolicy kernel = core::KernelPolicy::Auto;
 
   /// Pin worker threads to host cores (harmless no-op on small hosts).
@@ -115,7 +112,7 @@ struct RunConfig {
   /// offers and records the degradation reason when it offers nothing;
   /// On is Auto with a loud warning expected from the caller when the
   /// probe degrades.  Measured per-span deltas additionally require a
-  /// trace (they ride the profiler's sampler).
+  /// trace (they ride the probe set's span snapshots).
   hwc::Mode hw_mode = hwc::Mode::Off;
 
   /// Events to count; empty = hwc::default_events() (cycles,
@@ -127,21 +124,14 @@ struct RunConfig {
   hwc::SyscallBackend* hw_backend = nullptr;
 
   /// Optional live progress heartbeat (layer, updates/s, locality %).
-  /// The caller owns the meter and its interval; the run wires it to the
-  /// executors and the schemes' layer loops.  Null disables the hook at
-  /// the cost of one branch per tile.
+  /// The caller owns the meter and its interval; the run binds it to its
+  /// probe set for the run's lifetime.  Null (the default) binds nothing.
   prof::ProgressMeter* progress = nullptr;
 
-  /// Locality time-series sampling window, in cell updates per thread
-  /// (requires `instrument`).  0 picks an automatic window of roughly 32
-  /// samples per thread over the run; negative disables sampling.
-  Index locality_sample_updates = 0;
-
   /// Optional live telemetry sampler (src/telemetry/): when set, the run
-  /// binds the sampler to its instrumentation shards (progress slots,
-  /// traffic recorder, cache sim, registry, trace, abort token) at
-  /// construction and releases it when the run finishes.  The caller owns
-  /// the sampler; null (the default) constructs nothing and costs
+  /// binds the sampler to its probe set, registry, trace and abort token
+  /// at construction and releases it when the run finishes.  The caller
+  /// owns the sampler; null (the default) constructs nothing and costs
   /// nothing — telemetry adds no writes to the hot path either way.
   telemetry::Sampler* telemetry = nullptr;
 

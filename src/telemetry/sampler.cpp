@@ -7,10 +7,8 @@
 #include <iostream>
 #include <sstream>
 
-#include "cachesim/shared.hpp"
 #include "common/error.hpp"
 #include "metrics/registry.hpp"
-#include "numa/traffic.hpp"
 #include "telemetry/openmetrics.hpp"
 #include "thread/abort.hpp"
 
@@ -65,7 +63,7 @@ void Sampler::attach_heartbeat(prof::ProgressMeter* meter, double interval_s) {
 
 void Sampler::begin_run(const RunSources& sources) {
   detach_run();
-  NUSTENCIL_CHECK(sources.num_threads >= 1, "Sampler: need at least one thread");
+  NUSTENCIL_CHECK(sources.probes != nullptr, "Sampler: no probe set bound");
   src_ = sources;
   bound_ = true;
   seq_ = 0;
@@ -77,12 +75,13 @@ void Sampler::begin_run(const RunSources& sources) {
   suppress_watchdog_ = false;
   steals_ = nullptr;
   steal_attempts_ = nullptr;
-  prev_.assign(static_cast<std::size_t>(src_.num_threads), {});
-  prev_spans_.assign(static_cast<std::size_t>(src_.num_threads), {});
+  prev_.assign(static_cast<std::size_t>(num_threads()), {});
+  prev_spans_.assign(static_cast<std::size_t>(num_threads()), {});
+  snap_.assign(static_cast<std::size_t>(num_threads()), {});
 
   if (cfg_.sampling) {
     store_.emplace(cfg_.ring_capacity);
-    const int n = src_.num_threads;
+    const int n = num_threads();
     for (int t = 0; t < n; ++t) {
       store_->add_series("thread" + std::to_string(t) + "/mups");
       store_->add_series("thread" + std::to_string(t) + "/locality");
@@ -99,11 +98,9 @@ void Sampler::begin_run(const RunSources& sources) {
       steal_attempts_ = &src_.registry->counter("sched/steal_attempts");
     }
 
-    // The watchdog observes the progress slots; without a meter there is
-    // nothing to watch.
-    if (cfg_.watchdog_stall_intervals > 0 && src_.progress) {
+    if (cfg_.watchdog_stall_intervals > 0) {
       watchdog_.emplace(cfg_.watchdog_stall_intervals, cfg_.watchdog_action);
-      watchdog_->begin_run(src_.num_threads, 0);
+      watchdog_->begin_run(num_threads(), 0);
     } else {
       watchdog_.reset();
     }
@@ -111,7 +108,7 @@ void Sampler::begin_run(const RunSources& sources) {
     if (log_) {
       log_->event("run_start", 0.0, [&](metrics::JsonWriter& w) {
         w.kv("label", cfg_.label);
-        w.kv("threads", src_.num_threads);
+        w.kv("threads", num_threads());
         w.kv("timesteps", static_cast<std::int64_t>(src_.timesteps));
         w.kv("interval_ms", cfg_.interval_s * 1e3);
       });
@@ -136,29 +133,20 @@ std::int64_t Sampler::now_ns() const {
 }
 
 void Sampler::collect(std::vector<ThreadCumulative>& out) {
-  const int n = src_.num_threads;
+  const int n = num_threads();
+  const int llc = src_.probes->cache_levels() - 1;
   out.assign(static_cast<std::size_t>(n), {});
   for (int t = 0; t < n; ++t) {
     ThreadCumulative& c = out[static_cast<std::size_t>(t)];
-    // Progress slots are the primary updates/bytes source: relaxed atomic
-    // loads of single-writer slots, published once per tile.
-    if (src_.progress && t < src_.progress->num_slots())
-      src_.progress->read_slot(t, c.updates, c.local_bytes, c.remote_bytes);
-    if (src_.traffic) {
-      std::uint64_t local = 0, remote = 0, unowned = 0;
-      src_.traffic->thread_bytes(t, local, remote, unowned);
-      c.unowned_bytes = unowned;
-      if (!src_.progress) {
-        c.local_bytes = local;
-        c.remote_bytes = remote;
-      }
-    }
-    if (src_.cache) {
-      const auto& levels = src_.cache->core_traffic(t);
-      if (!levels.empty()) {
-        c.llc_hits = levels.back().hits;
-        c.llc_misses = levels.back().misses;
-      }
+    trace::CounterSet& snap = snap_[static_cast<std::size_t>(t)];
+    src_.probes->snapshot(t, snap);
+    c.updates = snap.at(trace::SpanCounter::Updates);
+    c.local_bytes = snap.at(trace::SpanCounter::LocalBytes);
+    c.remote_bytes = snap.at(trace::SpanCounter::RemoteBytes);
+    c.unowned_bytes = snap.at(trace::SpanCounter::UnownedBytes);
+    if (llc >= 0) {
+      c.llc_hits = snap.level_hits(llc);
+      c.llc_misses = snap.level_misses(llc);
     }
     if (src_.trace) {
       if (const trace::ThreadRecorder* rec = src_.trace->thread(t)) {
@@ -195,7 +183,7 @@ void Sampler::collect(std::vector<ThreadCumulative>& out) {
 
 void Sampler::sample_once(std::int64_t t_ns) {
   if (!bound_ || !cfg_.sampling || !store_) return;
-  const int n = src_.num_threads;
+  const int n = num_threads();
   std::vector<ThreadCumulative> cum;
   collect(cum);
 
@@ -225,7 +213,7 @@ void Sampler::sample_once(std::int64_t t_ns) {
       owned == 0 ? 100.0
                  : static_cast<double>(local_delta) /
                        static_cast<double>(owned) * 100.0;
-  const long layer = src_.progress ? src_.progress->layer() : -1;
+  const long layer = src_.probes->layer();
   row[2 * static_cast<std::size_t>(n)] = run_mups;
   row[2 * static_cast<std::size_t>(n) + 1] = run_locality;
   row[2 * static_cast<std::size_t>(n) + 2] = static_cast<double>(layer);
@@ -283,7 +271,7 @@ void Sampler::sample_once(std::int64_t t_ns) {
 void Sampler::export_openmetrics(std::int64_t t_ns,
                                  const std::vector<ThreadCumulative>& cum,
                                  const std::vector<double>& row) {
-  const int n = src_.num_threads;
+  const int n = num_threads();
   std::vector<MetricFamily> families;
   const auto label = [](int t) { return "thread=\"" + std::to_string(t) + "\""; };
 
@@ -333,7 +321,7 @@ void Sampler::export_openmetrics(std::int64_t t_ns,
     families.push_back({"nustencil_steals_total", "counter",
                         "Successful task steals",
                         {{"", static_cast<double>(steals_->value())}}});
-  if (src_.cache) {
+  if (src_.probes->cache_levels() > 0) {
     std::uint64_t hits = 0, misses = 0;
     for (const ThreadCumulative& c : cum) {
       hits += c.llc_hits;
@@ -346,14 +334,13 @@ void Sampler::export_openmetrics(std::int64_t t_ns,
                                          : static_cast<double>(misses) /
                                                static_cast<double>(total)}}});
   }
-  if (src_.hw) {
+  if (src_.probes->has_hw()) {
     MetricFamily cycles{"nustencil_hw_cycles_total", "counter",
                         "Measured CPU cycles per worker thread (raw)", {}};
     MetricFamily instrs{"nustencil_hw_instructions_total", "counter",
                         "Measured instructions per worker thread (raw)", {}};
     for (int t = 0; t < n; ++t) {
-      trace::CounterSet hw;
-      src_.hw(t, hw);
+      const trace::CounterSet& hw = snap_[static_cast<std::size_t>(t)];
       cycles.points.push_back(
           {label(t),
            static_cast<double>(hw.at(trace::SpanCounter::HwCycles))});
@@ -552,8 +539,7 @@ std::string describe_telemetry(bool enabled, double interval_s,
     return os.str();
   }
   os << "  sampling every " << interval_s * 1e3
-     << " ms into per-series rings (lock-free reads of single-writer "
-        "shards)\n";
+     << " ms into per-series rings (snapshots of the run's probe set)\n";
   os << "  openmetrics: "
      << (openmetrics_path.empty() ? "off"
                                   : openmetrics_path + " (atomic rewrite)")

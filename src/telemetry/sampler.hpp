@@ -1,14 +1,14 @@
 // Live telemetry: a background sampler thread that snapshots the run's
-// single-writer shards into fixed-capacity time-series rings while the
-// workers execute.
+// probe set into fixed-capacity time-series rings while the workers
+// execute.
 //
-// Every source is one the post-mortem profiler already reads —
-// ProgressMeter slots (relaxed atomics), TrafficRecorder::thread_bytes,
-// SharedHierarchy::core_traffic, ThreadRecorder phase totals, resolved
-// Registry counters, hwc::ThreadSet::sample — so the hot path gains no
-// new writes: telemetry is a pure read-side observer.  Samples are
-// per-thread-coherent but not globally atomic (see DESIGN.md), which is
-// fine for monitoring.
+// Every source is one the trace spans already read — prof::Probes
+// snapshots (relaxed atomic shards, the cache simulator under its mutex,
+// the hardware callback), ThreadRecorder phase totals (relaxed atomics)
+// and resolved Registry counters — so the hot path gains no new writes:
+// telemetry is a pure read-side observer, and every cross-thread read is
+// an atomic load or a locked read.  Samples are per-thread-coherent but
+// not globally atomic (see DESIGN.md), which is fine for monitoring.
 //
 // On top of the rings ride: an OpenMetrics textfile rewritten atomically
 // each tick, an append-only JSONL event log (samples plus run start/end,
@@ -25,7 +25,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -35,18 +34,13 @@
 #include <vector>
 
 #include "metrics/run_report.hpp"
+#include "prof/probes.hpp"
 #include "prof/progress.hpp"
 #include "telemetry/events.hpp"
 #include "telemetry/timeseries.hpp"
 #include "telemetry/watchdog.hpp"
 #include "trace/trace.hpp"
 
-namespace nustencil::numa {
-class TrafficRecorder;
-}
-namespace nustencil::cachesim {
-class SharedHierarchy;
-}
 namespace nustencil::metrics {
 class Registry;
 class Counter;
@@ -75,17 +69,13 @@ struct Config {
 };
 
 /// The run's snapshot sources, bound by RunSupport when the run starts.
-/// All pointers are single-writer shards the sampler only reads.
+/// The sampler only reads them.
 struct RunSources {
-  int num_threads = 0;
+  const prof::Probes* probes = nullptr;    ///< per-thread counters, layer
   long timesteps = 0;
-  const prof::ProgressMeter* progress = nullptr;    ///< updates/bytes slots
-  const numa::TrafficRecorder* traffic = nullptr;   ///< unowned bytes
-  const cachesim::SharedHierarchy* cache = nullptr; ///< per-core hit/miss
-  metrics::Registry* registry = nullptr;            ///< steal counters
-  const trace::Trace* trace = nullptr;              ///< wait totals, spans
-  threading::AbortToken* abort = nullptr;           ///< watchdog abort target
-  std::function<void(int, trace::CounterSet&)> hw;  ///< measured counters
+  metrics::Registry* registry = nullptr;   ///< steal counters
+  const trace::Trace* trace = nullptr;     ///< wait totals, spans
+  threading::AbortToken* abort = nullptr;  ///< watchdog abort target
   std::string hw_status;  ///< "", "ok" or "degraded" (for the event log)
   std::string hw_reason;
 };
@@ -107,8 +97,9 @@ class Sampler {
   /// meter's own thread used to produce.
   void attach_heartbeat(prof::ProgressMeter* meter, double interval_s);
 
-  /// Binds the run's sources, resets the rings and watchdog, logs the
-  /// run_start event and starts the background thread (unless manual).
+  /// Binds the run's sources (`probes` is required), resets the rings and
+  /// watchdog, logs the run_start event and starts the background thread
+  /// (unless manual).
   /// Called by RunSupport when RunConfig::telemetry is set.
   void begin_run(const RunSources& sources);
 
@@ -152,6 +143,7 @@ class Sampler {
                           const std::vector<double>& row);
   void handle_stalls(std::int64_t t_ns,
                      const std::vector<StallDiagnosis>& stalls);
+  int num_threads() const { return src_.probes->num_threads(); }
 
   Config cfg_;
   std::ostream* diag_;
@@ -176,6 +168,7 @@ class Sampler {
   std::uint64_t last_steals_ = 0;
   std::int64_t last_t_ns_ = 0;
   std::vector<ThreadCumulative> prev_;
+  std::vector<trace::CounterSet> snap_;  ///< this tick's probe snapshots
   std::vector<std::array<std::uint64_t, trace::kNumPhases>> prev_spans_;
   bool openmetrics_failed_ = false;
   bool watchdog_aborted_ = false;

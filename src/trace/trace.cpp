@@ -62,7 +62,7 @@ std::vector<Event> ThreadRecorder::events() const {
 void Trace::begin_run(int num_threads) {
   NUSTENCIL_CHECK(num_threads >= 1, "Trace::begin_run: need at least one thread");
   const auto epoch = std::chrono::steady_clock::now();
-  threads_.assign(static_cast<std::size_t>(num_threads), ThreadRecorder{});
+  threads_ = std::vector<ThreadRecorder>(static_cast<std::size_t>(num_threads));
   for (int tid = 0; tid < num_threads; ++tid) {
     ThreadRecorder& rec = threads_[static_cast<std::size_t>(tid)];
     rec.epoch_ = epoch;

@@ -5,11 +5,13 @@
 // cache-sized tiles vs waiting at global barriers and spin flags — so the
 // schemes and executors feed typed spans into one ThreadRecorder per
 // worker.  Each recorder is single-producer (only its own thread writes),
-// so recording is a plain store into a preallocated ring; collection
-// happens after the team has joined.  When no recorder is attached every
-// hook is a single null-pointer check, and the phase totals are
+// so recording is a plain store into a preallocated ring; events are
+// collected after the team has joined.  When no recorder is attached
+// every hook is a single null-pointer check, and the phase totals are
 // accumulated outside the ring, so they stay exact even when the ring
-// overflows and drops old events.
+// overflows and drops old events.  The time/span/spin totals are
+// single-writer relaxed atomics, which the live telemetry sampler reads
+// mid-run.
 //
 // The collector serializes the event stream as Chrome trace-event JSON
 // (one track per thread, loadable in Perfetto / chrome://tracing) and
@@ -17,13 +19,24 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace nustencil::trace {
+
+/// Single-writer counter increment: a relaxed load and a relaxed store.
+/// Exact because only the owning thread writes `c`; any other thread may
+/// load it concurrently without a data race, and the writer pays no
+/// locked read-modify-write.
+template <class T>
+void single_writer_add(std::atomic<T>& c, std::type_identity_t<T> n) {
+  c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+}
 
 /// Span taxonomy.  Leaf phases partition a thread's accounted time and
 /// feed the phase totals; structural phases (Layer, Parallelogram) group
@@ -66,7 +79,7 @@ struct SpanArgs {
 /// Fixed slot layout of the per-span counter deltas (the simulated-PMU
 /// equivalent of a perf counter group).  The slots are defined here so
 /// the serializers can derive byte totals, locality and miss rates
-/// without knowing the sampler implementation; the sampler that fills
+/// without knowing the sampler implementation; the probe set that fills
 /// them from the run's instrumentation sources lives in src/prof/.
 enum class SpanCounter : std::uint8_t {
   Updates = 0,   ///< cell updates (Executor::updates_done)
@@ -162,8 +175,8 @@ struct CounterSet {
 };
 
 /// Source of cumulative per-thread counter values, sampled at leaf-span
-/// boundaries.  Implementations must be safe to call from thread `tid`
-/// for that tid's own counters only (single-writer shards).
+/// boundaries (prof::Probes).  Implementations must be safe to call from
+/// any thread for any tid.
 class CounterSampler {
  public:
   virtual ~CounterSampler() = default;
@@ -195,7 +208,8 @@ struct Event {
 /// Per-thread recorder: exact phase totals plus a fixed-capacity event
 /// ring (oldest events are overwritten on overflow; `dropped()` counts
 /// them).  All mutating members must be called from the owning thread
-/// only; readers run after the worker has joined.
+/// only.  total_ns/span_count/spin_count may be read by any thread at any
+/// time; every other reader runs after the worker has joined.
 class ThreadRecorder {
  public:
   /// Nanoseconds since the owning Trace's epoch (monotonic clock).
@@ -219,9 +233,9 @@ class ThreadRecorder {
               std::int64_t exclude_ns = 0,
               const CounterSet* counters = nullptr) {
     const auto i = static_cast<std::size_t>(phase);
-    total_ns_[i] += end_ns - start_ns - exclude_ns;
-    span_count_[i] += 1;
-    spin_count_[i] += spins;
+    single_writer_add(total_ns_[i], end_ns - start_ns - exclude_ns);
+    single_writer_add(span_count_[i], 1);
+    if (spins) single_writer_add(spin_count_[i], spins);
     if (counters) counter_totals_[i].accumulate(*counters);
     if (capacity_ == 0) return;  // metrics-only mode: no event storage
     Event& e = ring_[next_];
@@ -241,12 +255,12 @@ class ThreadRecorder {
     recorded_ += 1;
   }
 
-  /// The attached simulated-PMU sampler; null = per-span counters off
-  /// (the ScopedSpan fast path is then one extra null check).
+  /// The attached counter sampler; null = per-span counters off (the
+  /// ScopedSpan fast path is then one extra null check).
   const CounterSampler* sampler() const { return sampler_; }
 
   /// Samples the cumulative counters of this recorder's thread.  Call
-  /// from the owning thread only, and only when sampler() is non-null.
+  /// only when sampler() is non-null.
   void sample(CounterSet& out) const { sampler_->sample(tid_, out); }
 
   int tid() const { return tid_; }
@@ -261,13 +275,13 @@ class ThreadRecorder {
   }
 
   std::int64_t total_ns(Phase p) const {
-    return total_ns_[static_cast<std::size_t>(p)];
+    return total_ns_[static_cast<std::size_t>(p)].load(std::memory_order_relaxed);
   }
   std::uint64_t span_count(Phase p) const {
-    return span_count_[static_cast<std::size_t>(p)];
+    return span_count_[static_cast<std::size_t>(p)].load(std::memory_order_relaxed);
   }
   std::uint64_t spin_count(Phase p) const {
-    return spin_count_[static_cast<std::size_t>(p)];
+    return spin_count_[static_cast<std::size_t>(p)].load(std::memory_order_relaxed);
   }
 
   /// Exact per-phase sum of every counter delta recorded for `p`
@@ -286,9 +300,9 @@ class ThreadRecorder {
   std::size_t capacity_ = 0;
   std::size_t next_ = 0;
   std::uint64_t recorded_ = 0;
-  std::array<std::int64_t, kNumPhases> total_ns_{};
-  std::array<std::uint64_t, kNumPhases> span_count_{};
-  std::array<std::uint64_t, kNumPhases> spin_count_{};
+  std::array<std::atomic<std::int64_t>, kNumPhases> total_ns_{};
+  std::array<std::atomic<std::uint64_t>, kNumPhases> span_count_{};
+  std::array<std::atomic<std::uint64_t>, kNumPhases> spin_count_{};
   std::array<CounterSet, kNumPhases> counter_totals_{};
 };
 
@@ -398,8 +412,8 @@ class Trace {
   int num_threads() const { return static_cast<int>(threads_.size()); }
   std::size_t events_per_thread() const { return events_per_thread_; }
 
-  /// Attaches (or detaches, with null) the simulated-PMU sampler to
-  /// every recorder, current and future.  Call between runs, never while
+  /// Attaches (or detaches, with null) the counter sampler to every
+  /// recorder, current and future.  Call between runs, never while
   /// workers are recording.
   void set_sampler(const CounterSampler* sampler) {
     sampler_ = sampler;

@@ -231,7 +231,8 @@ TEST(Executor, TrafficAccountingCoversAllFields) {
   const auto machine = topology::xeonX7550();
   numa::PageTable pages(256);
   numa::VirtualTopology topo(machine);
-  numa::TrafficRecorder recorder(pages, topo, 1);
+  prof::Probes probes(1);
+  numa::TrafficRecorder recorder(pages, topo, probes);
   Problem p(Coord{16, 6, 5}, StencilSpec::banded_star(3, 1));
   p.attach(pages);
   Instrumentation instr;

@@ -42,27 +42,19 @@ std::vector<KernelPolicy> host_policies() {
   return ps;
 }
 
-/// Runs `steps` full-domain sweeps and returns the *logical* cells of the
-/// final buffer in dense order, so padded and dense runs compare 1:1.
-/// `chosen` (optional) receives the executor's kernel choice.
+/// Runs `steps` full-domain sweeps and returns the cells of the final
+/// buffer.  `chosen` (optional) receives the executor's kernel choice.
 std::vector<double> run_with_policy(const Coord& shape, const StencilSpec& st,
                                     KernelPolicy policy, long steps,
                                     unsigned seed,
-                                    FieldPad pad = FieldPad::None,
                                     KernelChoice* chosen = nullptr) {
-  Problem p(shape, st, pad);
+  Problem p(shape, st);
   p.initialize(seed);
   Executor e(p, {}, policy);
   if (chosen) *chosen = e.kernel();
   for (long t = 0; t < steps; ++t) e.update_box(whole(shape), t, 0);
   const Field& f = p.buffer(steps);
-  const Index xs = f.xstride();
-  const Index rows = f.storage_volume() / xs;
-  std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(p.volume()));
-  for (Index r = 0; r < rows; ++r)
-    for (Index x = 0; x < shape[0]; ++x) out.push_back(f.data()[r * xs + x]);
-  return out;
+  return std::vector<double>(f.data(), f.data() + f.volume());
 }
 
 bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
@@ -254,52 +246,6 @@ TEST(KernelDispatch, PolicyNamesAreCaseInsensitive) {
   EXPECT_EQ(parse_kernel_policy("SCALAR"), KernelPolicy::Scalar);
 }
 
-TEST(KernelDispatch, FieldPaddingInvariants) {
-  // Rows64 pads the unit-stride extent to a multiple of 8 doubles and
-  // keeps every row base on a 64-byte boundary.
-  const Field padded(Coord{37, 5, 3}, FieldPad::Rows64);
-  EXPECT_EQ(padded.xstride(), 40);
-  EXPECT_EQ(padded.storage_volume(), 40 * 5 * 3);
-  EXPECT_EQ(padded.volume(), 37 * 5 * 3);
-  EXPECT_EQ(padded.strides()[1], 40);
-  EXPECT_EQ(padded.strides()[2], 40 * 5);
-  EXPECT_TRUE(padded.rows_aligned());
-  // The dense layout is byte-for-byte the historical one: xstride == nx,
-  // and rows are aligned exactly when nx is a multiple of 8.
-  const Field dense(Coord{37, 5, 3});
-  EXPECT_EQ(dense.xstride(), 37);
-  EXPECT_EQ(dense.storage_volume(), dense.volume());
-  EXPECT_FALSE(dense.rows_aligned());
-  EXPECT_TRUE(Field(Coord{64, 4, 4}).rows_aligned());
-  // Already-aligned extents gain no padding.
-  EXPECT_EQ(Field(Coord{64, 4, 4}, FieldPad::Rows64).xstride(), 64);
-}
-
-TEST(KernelDispatch, PaddedProblemInitMatchesDense) {
-  // fill_row keys values on the logical cell id, so a padded problem
-  // starts from the exact per-cell data of its dense twin, with zeroed
-  // padding columns.
-  const Coord shape{13, 4, 3};
-  Problem dense(shape, StencilSpec::banded_star(3, 1));
-  Problem padded(shape, StencilSpec::banded_star(3, 1), FieldPad::Rows64);
-  dense.initialize(7);
-  padded.initialize(7);
-  const Index xs = padded.buffer(0).xstride();
-  for (Index r = 0; r < shape[1] * shape[2]; ++r) {
-    for (Index x = 0; x < xs; ++x) {
-      const double got = padded.buffer(0).data()[r * xs + x];
-      if (x < shape[0]) {
-        EXPECT_EQ(got, dense.buffer(0).data()[r * shape[0] + x]);
-        for (int p = 0; p < 7; ++p)
-          EXPECT_EQ(padded.band(p).data()[r * xs + x],
-                    dense.band(p).data()[r * shape[0] + x]);
-      } else {
-        EXPECT_EQ(got, 0.0);
-      }
-    }
-  }
-}
-
 TEST(KernelDispatch, RotatedKernelEngagesAndIsBitExact) {
   if (!kernel_isa_supported(KernelIsa::AVX2))
     GTEST_SKIP() << "host has no AVX2";
@@ -319,8 +265,7 @@ TEST(KernelDispatch, RotatedKernelEngagesAndIsBitExact) {
           run_with_policy(c.shape, st, KernelPolicy::Scalar, 3, 42);
       KernelChoice chosen;
       const std::vector<double> got =
-          run_with_policy(c.shape, st, KernelPolicy::AVX2, 3, 42,
-                          FieldPad::None, &chosen);
+          run_with_policy(c.shape, st, KernelPolicy::AVX2, 3, 42, &chosen);
       EXPECT_TRUE(chosen.rotated)
           << "order=" << c.order << " banded=" << banded
           << " kernel=" << chosen.name();
@@ -331,15 +276,15 @@ TEST(KernelDispatch, RotatedKernelEngagesAndIsBitExact) {
   // Non-rank-3 stencils have no rotated kernel.
   KernelChoice flat;
   run_with_policy(Coord{24, 9}, StencilSpec::stable_star(2, 1),
-                  KernelPolicy::AVX2, 1, 42, FieldPad::None, &flat);
+                  KernelPolicy::AVX2, 1, 42, &flat);
   EXPECT_FALSE(flat.rotated);
 }
 
-TEST(KernelDispatch, RotatedKernelBitExactOnPaddedLayout) {
+TEST(KernelDispatch, AutoPolicyPicksBitExactRotatedKernel) {
   if (!kernel_isa_supported(KernelIsa::AVX2))
     GTEST_SKIP() << "host has no AVX2";
-  // The rotated kernel on a padded (aligned) layout of a prime-sized
-  // domain must stay bitwise identical to the dense scalar run.
+  // The kernel the Auto policy picks for a prime-sized domain (unaligned
+  // rows) must be the rotated one and stay bitwise identical to scalar.
   const Coord shape{29, 6, 5};
   for (const bool banded : {false, true}) {
     const StencilSpec st =
@@ -348,8 +293,7 @@ TEST(KernelDispatch, RotatedKernelBitExactOnPaddedLayout) {
         run_with_policy(shape, st, KernelPolicy::Scalar, 3, 11);
     KernelChoice chosen;
     const std::vector<double> got =
-        run_with_policy(shape, st, KernelPolicy::Auto, 3, 11, FieldPad::Rows64,
-                        &chosen);
+        run_with_policy(shape, st, KernelPolicy::Auto, 3, 11, &chosen);
     EXPECT_TRUE(chosen.rotated) << chosen.name();
     EXPECT_TRUE(bitwise_equal(ref, got)) << "banded=" << banded;
   }
@@ -373,19 +317,15 @@ TEST(KernelDispatch, MidVectorTileStartMatchesScalar) {
     ps.initialize(3);
     Executor es(ps, {}, KernelPolicy::Scalar);
     es.update_box(tile, 0, 0);
-    Problem pv(shape, st, FieldPad::Rows64);
+    Problem pv(shape, st);
     pv.initialize(3);
     Executor ev(pv, {}, KernelPolicy::Auto);
     ASSERT_TRUE(ev.kernel().rotated);
     ev.update_box(tile, 0, 0);
-    const Index xs = pv.buffer(1).xstride();
-    bool equal = true;
-    for (Index r = 0; r < shape[1] * shape[2] && equal; ++r)
-      for (Index x = 0; x < shape[0] && equal; ++x)
-        equal = std::memcmp(&ps.buffer(1).data()[r * shape[0] + x],
-                            &pv.buffer(1).data()[r * xs + x],
-                            sizeof(double)) == 0;
-    EXPECT_TRUE(equal) << "x0=" << x0 << " x1=" << x1;
+    EXPECT_EQ(std::memcmp(ps.buffer(1).data(), pv.buffer(1).data(),
+                          static_cast<std::size_t>(ps.volume()) * sizeof(double)),
+              0)
+        << "x0=" << x0 << " x1=" << x1;
   }
 }
 

@@ -98,7 +98,8 @@ TEST(TrafficRecorder, ClassifiesLocalAndRemote) {
   pt.first_touch(r, 0, 4096, 0);      // node 0
   pt.first_touch(r, 4096, 8192, 1);   // node 1
 
-  TrafficRecorder rec(pt, topo, 16);
+  prof::Probes probes(16);
+  TrafficRecorder rec(pt, topo, probes);
   rec.account(/*tid=*/0, r, 0, 8192);    // thread 0 on node 0
   rec.account(/*tid=*/8, r, 0, 4096);    // thread 8 on node 1
   const TrafficStats stats = rec.collect();
@@ -120,7 +121,8 @@ TEST(TrafficRecorder, PageStraddlingRangeAttributedExactlyOnce) {
   pt.first_touch(r, 0, 4096, 0);
   pt.first_touch(r, 4096, 8192, 1);
 
-  TrafficRecorder rec(pt, topo, 1);
+  prof::Probes probes(1);
+  TrafficRecorder rec(pt, topo, probes);
   rec.account(/*tid=*/0, r, 1000, 7000);  // 3096 B on page 0, 2904 B on page 1
   const TrafficStats stats = rec.collect();
   EXPECT_EQ(stats.local_bytes, 3096u);
@@ -137,7 +139,8 @@ TEST(TrafficRecorder, StraddleIntoUnownedCountedOncePerPage) {
   const RegionId r = pt.register_region("half", 4096 * 2);
   pt.first_touch(r, 0, 4096, 1);  // second page stays untouched
 
-  TrafficRecorder rec(pt, topo, 1);
+  prof::Probes probes(1);
+  TrafficRecorder rec(pt, topo, probes);
   rec.account(/*tid=*/0, r, 4000, 5000);
   const TrafficStats stats = rec.collect();
   EXPECT_EQ(stats.remote_bytes, 96u);    // tail of the node-1 page
@@ -153,7 +156,8 @@ TEST(TrafficRecorder, NodeMatrixSplitsConsumerByOwner) {
   pt.first_touch(r, 0, 4096, 0);
   pt.first_touch(r, 4096, 8192, 1);
 
-  TrafficRecorder rec(pt, topo, 16);
+  prof::Probes probes(16);
+  TrafficRecorder rec(pt, topo, probes);
   rec.account(/*tid=*/0, r, 0, 8192);  // consumer node 0: one page each owner
   rec.account(/*tid=*/8, r, 0, 4096);  // consumer node 1 <- owner node 0
   const TrafficStats stats = rec.collect();
@@ -176,15 +180,21 @@ TEST(TrafficRecorder, LocalitySeriesSamplesPerWindow) {
   pt.first_touch(r, 0, 4096, 0);
   pt.first_touch(r, 4096, 8192, 1);
 
-  TrafficRecorder rec(pt, topo, 1);
+  prof::Probes probes(1);
+  TrafficRecorder rec(pt, topo, probes);
   rec.set_sample_window(100);
+  // What an executor does per tile: count the updates, then tick.
+  const auto tile = [&](std::uint64_t updates) {
+    trace::single_writer_add(probes.shard(0).updates, updates);
+    rec.tick_updates(0);
+  };
   rec.account(0, r, 0, 4096);      // local window
-  rec.tick_updates(0, 100);        // closes window 1
+  tile(100);                       // closes window 1
   rec.account(0, r, 4096, 8192);   // remote window
-  rec.tick_updates(0, 60);
-  rec.tick_updates(0, 40);         // crosses: closes window 2
+  tile(60);
+  tile(40);                        // crosses: closes window 2
   rec.account(0, r, 0, 1024);      // partial trailing window
-  rec.tick_updates(0, 10);         // in progress, not yet a full window
+  tile(10);                        // in progress, not yet a full window
 
   const TrafficStats stats = rec.collect();
   ASSERT_EQ(stats.samples.size(), 3u);
@@ -209,9 +219,11 @@ TEST(TrafficRecorder, SamplingDisabledKeepsSeriesEmpty) {
   VirtualTopology topo(machine);
   const RegionId r = pt.register_region("off", 4096);
   pt.first_touch(r, 0, 4096, 0);
-  TrafficRecorder rec(pt, topo, 1);
+  prof::Probes probes(1);
+  TrafficRecorder rec(pt, topo, probes);
   rec.account(0, r, 0, 4096);
-  rec.tick_updates(0, 1000);
+  trace::single_writer_add(probes.shard(0).updates, 1000);
+  rec.tick_updates(0);
   EXPECT_TRUE(rec.collect().samples.empty());
 }
 

@@ -1,19 +1,22 @@
 // Per-span performance attribution: the exactness invariant (per-span
 // counter deltas sum to the run-wide instrumentation totals), the
-// flamegraph export (parse-back + determinism), the straggler verdicts
-// and the progress heartbeat.
+// flamegraph export (parse-back + determinism), the straggler verdicts,
+// the probe set's cross-thread snapshot and the progress heartbeat.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <atomic>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cachesim/shared.hpp"
 #include "common/error.hpp"
 #include "prof/attribution.hpp"
 #include "prof/flamegraph.hpp"
+#include "prof/probes.hpp"
 #include "prof/progress.hpp"
 #include "schemes/scheme.hpp"
 #include "topology/machine.hpp"
@@ -353,13 +356,71 @@ TEST(ProfSummary, DisabledWithoutASampler) {
   EXPECT_FALSE(s.enabled);
 }
 
+/// Adds one tile's worth of counters to thread `tid`'s shard, as the
+/// executor and the traffic recorder do.
+void publish(prof::Probes& probes, int tid, std::uint64_t updates,
+             std::uint64_t local, std::uint64_t remote) {
+  prof::Probes::Shard& s = probes.shard(tid);
+  trace::single_writer_add(s.updates, updates);
+  trace::single_writer_add(s.local_bytes, local);
+  trace::single_writer_add(s.remote_bytes, remote);
+}
+
+TEST(Probes, CrossThreadSnapshotIsMonotoneAndExact) {
+  // One writer advances its shard while this thread snapshots it: every
+  // snapshot must be monotone, and the last one (after the join) must
+  // equal the written totals.  The writer pauses after each batch until
+  // the reader has taken another snapshot, so reads really interleave
+  // with writes; the handshake orders each read before the next batch's
+  // writes, never a write before a read, so under -fsanitize=thread a
+  // non-atomic shard would still be reported as a race.
+  constexpr std::uint64_t kTiles = 20000;
+  constexpr std::uint64_t kBatch = 100;
+  prof::Probes probes(2);
+  std::atomic<std::uint64_t> reads{0};
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (std::uint64_t i = 1; i <= kTiles; ++i) {
+      publish(probes, 1, 3, 2 * i, 1);
+      trace::single_writer_add(probes.shard(1).unowned_bytes, 5);
+      if (i % kBatch == 0)
+        while (reads.load(std::memory_order_acquire) < i / kBatch)
+          std::this_thread::yield();
+    }
+    done.store(true, std::memory_order_release);
+  });
+  trace::CounterSet prev, now;
+  bool monotone = true;
+  while (!done.load(std::memory_order_acquire)) {
+    probes.snapshot(1, now);
+    for (int i = 0; i < trace::kNumSpanCounters; ++i)
+      monotone = monotone && now.v[static_cast<std::size_t>(i)] >=
+                                 prev.v[static_cast<std::size_t>(i)];
+    prev = now;
+    reads.fetch_add(1, std::memory_order_release);
+  }
+  writer.join();
+  EXPECT_TRUE(monotone);
+  EXPECT_GE(reads.load(), kTiles / kBatch);
+  probes.snapshot(1, now);
+  EXPECT_EQ(now.at(trace::SpanCounter::Updates), 3 * kTiles);
+  EXPECT_EQ(now.at(trace::SpanCounter::LocalBytes), kTiles * (kTiles + 1));
+  EXPECT_EQ(now.at(trace::SpanCounter::RemoteBytes), kTiles);
+  EXPECT_EQ(now.at(trace::SpanCounter::UnownedBytes), 5 * kTiles);
+  // The other thread's shard is untouched.
+  probes.snapshot(0, now);
+  EXPECT_FALSE(now.any());
+}
+
 TEST(ProfProgress, RenderLineReportsLayerRateLocalityAndCompletion) {
   std::ostringstream os;
   prof::ProgressMeter meter(60.0, os);
+  prof::Probes probes(2);
   meter.begin_run("nuCORALS t2", 2, 1000);
-  meter.publish(0, 100, 800, 200);
-  meter.publish(1, 150, 600, 400);
-  meter.set_layer(3);
+  meter.bind(&probes);
+  publish(probes, 0, 100, 800, 200);
+  publish(probes, 1, 150, 600, 400);
+  probes.set_layer(3);
   const std::string line = meter.render_line();
   EXPECT_NE(line.find("progress [nuCORALS t2]"), std::string::npos) << line;
   EXPECT_NE(line.find("layer 3"), std::string::npos) << line;
@@ -372,39 +433,43 @@ TEST(ProfProgress, RenderLineReportsLayerRateLocalityAndCompletion) {
 TEST(ProfProgress, LayerIndicatorIsMonotonic) {
   std::ostringstream os;
   prof::ProgressMeter meter(60.0, os);
+  prof::Probes probes(1);
   meter.begin_run("x", 1, 0);
-  meter.set_layer(5);
-  meter.set_layer(2);  // late arrival must not move the indicator back
+  meter.bind(&probes);
+  probes.set_layer(5);
+  probes.set_layer(2);  // late arrival must not move the indicator back
   EXPECT_NE(meter.render_line().find("layer 5"), std::string::npos);
 }
 
 TEST(ProfProgress, FinalBeatReportsEvenOnShortRuns) {
   std::ostringstream os;
   prof::ProgressMeter meter(60.0, os);  // far longer than the test
+  prof::Probes probes(1);
   meter.begin_run("short", 1, 100);
-  meter.publish(0, 100, 10, 0);
+  meter.bind(&probes);
+  publish(probes, 0, 100, 10, 0);
   meter.emit_final();  // the telemetry sampler drives this at end_run
   const std::string out = os.str();
   EXPECT_NE(out.find("(final)"), std::string::npos) << out;
   EXPECT_NE(out.find("100.0% done"), std::string::npos) << out;
 }
 
-TEST(ProfProgress, SlotReadersExposePublishedStateToTheSampler) {
-  std::ostringstream os;
-  prof::ProgressMeter meter(1.0, os);
-  meter.begin_run("r", 2, 0);
-  meter.publish(1, 42, 100, 50);
-  meter.set_layer(7);
-  EXPECT_EQ(meter.num_slots(), 2);
-  std::uint64_t updates = 0, local = 0, remote = 0;
-  meter.read_slot(1, updates, local, remote);
-  EXPECT_EQ(updates, 42u);
-  EXPECT_EQ(local, 100u);
-  EXPECT_EQ(remote, 50u);
-  meter.read_slot(0, updates, local, remote);
-  EXPECT_EQ(updates, 0u);
-  EXPECT_EQ(meter.layer(), 7);
-  EXPECT_EQ(meter.label(), "r");
+TEST(ProfProgress, ProbeSnapshotExposesPublishedStateToTheSampler) {
+  prof::Probes probes(2);
+  publish(probes, 1, 42, 100, 50);
+  probes.set_layer(7);
+  EXPECT_EQ(probes.num_threads(), 2);
+  trace::CounterSet c;
+  probes.snapshot(1, c);
+  EXPECT_EQ(c.at(trace::SpanCounter::Updates), 42u);
+  EXPECT_EQ(c.at(trace::SpanCounter::LocalBytes), 100u);
+  EXPECT_EQ(c.at(trace::SpanCounter::RemoteBytes), 50u);
+  probes.snapshot(0, c);
+  EXPECT_EQ(c.at(trace::SpanCounter::Updates), 0u);
+  EXPECT_EQ(probes.layer(), 7);
+  // No simulator or hardware callback attached: those slots read zero.
+  EXPECT_EQ(probes.cache_levels(), 0);
+  EXPECT_FALSE(probes.has_hw());
 }
 
 TEST(ProfProgress, RejectsNonPositiveIntervalsAndEmptyTeams) {

@@ -13,6 +13,7 @@
 
 #include "common/error.hpp"
 #include "metrics/json.hpp"
+#include "prof/probes.hpp"
 #include "prof/progress.hpp"
 #include "schemes/nucats.hpp"
 #include "telemetry/events.hpp"
@@ -288,35 +289,42 @@ TEST(Watchdog, ParseActionIsCaseInsensitiveAndStrict) {
 
 // ------------------------------------------------- sampler (fake clock)
 
-/// Manual-mode sampler over a ProgressMeter: the test IS the clock.
+/// Manual-mode sampler over a probe set: the test IS the clock and the
+/// workers.
 struct ManualRig {
-  std::ostringstream beat_out;
   std::ostringstream diag;
-  prof::ProgressMeter meter{1.0, beat_out};
+  prof::Probes probes;
   threading::AbortToken abort;
   Config cfg;
 
-  explicit ManualRig(int threads) {
+  explicit ManualRig(int threads) : probes(threads) {
     cfg.manual = true;
     cfg.interval_s = 0.001;
     cfg.label = "rig";
-    meter.begin_run("rig", threads, 0);
   }
 
-  RunSources sources(int threads) {
+  RunSources sources() {
     RunSources src;
-    src.num_threads = threads;
+    src.probes = &probes;
     src.timesteps = 4;
-    src.progress = &meter;
     src.abort = &abort;
     return src;
+  }
+
+  /// Sets thread `tid`'s cumulative counters (they only ever grow).
+  void publish(int tid, std::uint64_t updates, std::uint64_t local,
+               std::uint64_t remote) {
+    prof::Probes::Shard& s = probes.shard(tid);
+    s.updates.store(updates, std::memory_order_relaxed);
+    s.local_bytes.store(local, std::memory_order_relaxed);
+    s.remote_bytes.store(remote, std::memory_order_relaxed);
   }
 };
 
 TEST(Sampler, ManualModeIsDeterministicUnderAFakeClock) {
   ManualRig rig(2);
   Sampler sampler(rig.cfg, rig.diag);
-  sampler.begin_run(rig.sources(2));
+  sampler.begin_run(rig.sources());
 
   // 2 threads: thread<t>/{mups,locality} then run/{mups,locality,layer}.
   const TimeSeriesStore* store = sampler.store();
@@ -328,12 +336,12 @@ TEST(Sampler, ManualModeIsDeterministicUnderAFakeClock) {
   EXPECT_EQ(store->series_name(6), "run/layer");
 
   // Tick 1 at t=1ms: thread 0 did 1000 updates, 75% local traffic.
-  rig.meter.publish(0, 1000, 300, 100);
-  rig.meter.set_layer(0);
+  rig.publish(0, 1000, 300, 100);
+  rig.probes.set_layer(0);
   sampler.sample_once(1'000'000);
   // Tick 2 at t=3ms: +4000 updates over 2ms, all-local window.
-  rig.meter.publish(0, 5000, 700, 100);
-  rig.meter.set_layer(1);
+  rig.publish(0, 5000, 700, 100);
+  rig.probes.set_layer(1);
   sampler.sample_once(3'000'000);
 
   ASSERT_EQ(store->size(), 2u);
@@ -361,11 +369,11 @@ TEST(Sampler, ManualModeWritesOrderedJsonlEvents) {
   rig.cfg.log_path = path;
   {
     Sampler sampler(rig.cfg, rig.diag);
-    sampler.begin_run(rig.sources(1));
-    rig.meter.publish(0, 10, 100, 0);
-    rig.meter.set_layer(0);
+    sampler.begin_run(rig.sources());
+    rig.publish(0, 10, 100, 0);
+    rig.probes.set_layer(0);
     sampler.sample_once(1'000'000);
-    rig.meter.publish(0, 20, 200, 0);
+    rig.publish(0, 20, 200, 0);
     sampler.sample_once(2'000'000);
     sampler.end_run(/*seconds=*/0.002, /*updates=*/20);
   }
@@ -396,7 +404,7 @@ TEST(Sampler, WatchdogAbortTriggersTheRunsAbortToken) {
   rig.cfg.watchdog_stall_intervals = 3;
   rig.cfg.watchdog_action = WatchdogAction::Abort;
   Sampler sampler(rig.cfg, rig.diag);
-  sampler.begin_run(rig.sources(1));
+  sampler.begin_run(rig.sources());
 
   // The thread never publishes: detection within exactly 3 intervals.
   sampler.sample_once(1'000'000);
@@ -414,9 +422,9 @@ TEST(Sampler, WatchdogAbortTriggersTheRunsAbortToken) {
 TEST(Sampler, ReportSectionDownsamplesWithoutAlteringValues) {
   ManualRig rig(1);
   Sampler sampler(rig.cfg, rig.diag);
-  sampler.begin_run(rig.sources(1));
+  sampler.begin_run(rig.sources());
   for (int i = 1; i <= 50; ++i) {
-    rig.meter.publish(0, static_cast<std::uint64_t>(i) * 100, 100, 0);
+    rig.publish(0, static_cast<std::uint64_t>(i) * 100, 100, 0);
     sampler.sample_once(i * 1'000'000);
   }
   const metrics::TimeseriesSection sec = sampler.report_section(10);

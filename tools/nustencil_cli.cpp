@@ -294,7 +294,6 @@ int main(int argc, char** argv) try {
   args.add_flag("instrument", "measure NUMA locality under --machine's topology");
   args.add_flag("check", "validate the space-time dependency order of every update");
   args.add_flag("verify", "compare the result against the reference executor");
-  args.add_flag("no-simd", "disable the SSE2/AVX kernels");
   args.add_flag("pin", "pin worker threads to host cores");
   args.add_flag("phase-metrics",
                 "print per-thread compute/barrier-wait/spinflag-wait/init wall-time "
@@ -330,8 +329,7 @@ int main(int argc, char** argv) try {
       args.get("group-size") == "auto" ? 0 : args.get_long("group-size");
 
   const core::KernelPolicy kernel_policy =
-      args.get_flag("no-simd") ? core::KernelPolicy::Scalar
-                               : core::parse_kernel_policy(args.get("kernel"));
+      core::parse_kernel_policy(args.get("kernel"));
 
   const hwc::Mode hw_mode = hwc::parse_mode(args.get("hw-counters"));
   std::vector<hwc::Event> hw_events;
@@ -432,7 +430,6 @@ int main(int argc, char** argv) try {
     cfg.timesteps = args.get_long("steps");
     cfg.instrument = args.get_flag("instrument");
     cfg.check_dependencies = args.get_flag("check");
-    cfg.use_simd = !args.get_flag("no-simd");
     cfg.kernel = kernel_policy;
     cfg.pin_threads = args.get_flag("pin");
     cfg.schedule = schedule;
@@ -600,11 +597,8 @@ int main(int argc, char** argv) try {
       rep.shape = args.get("shape");
       rep.timesteps = result.timesteps;
       rep.threads = threads;
-      rep.kernel_policy = args.get_flag("no-simd") ? "scalar" : args.get("kernel");
-      rep.kernel_variant =
-          core::select_kernel(cfg.use_simd ? kernel_policy : core::KernelPolicy::Scalar,
-                              kernel_request)
-              .name();
+      rep.kernel_policy = args.get("kernel");
+      rep.kernel_variant = core::select_kernel(kernel_policy, kernel_request).name();
       rep.page_bytes = cfg.page_bytes;
       rep.seed = cfg.seed;
       rep.pin_policy =

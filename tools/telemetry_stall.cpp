@@ -3,8 +3,9 @@
 //
 //   telemetry_stall [warn|abort] [jsonl-log-path]
 //
-// Two workers run a fake compute loop that publishes progress every
-// millisecond; worker 1 stops publishing after its first few ticks.  The
+// Two workers run a fake compute loop that counts updates into their
+// probe shards every millisecond; worker 1 stops counting after its first
+// few ticks.  The
 // sampler (10 ms interval, 3-interval watchdog) must flag the stall
 // within ~30 ms.  Under `warn` the workers run to completion and the
 // process exits 0 with the diagnosis on stderr; under `abort` the
@@ -16,7 +17,7 @@
 #include <iostream>
 #include <thread>
 
-#include "prof/progress.hpp"
+#include "prof/probes.hpp"
 #include "telemetry/sampler.hpp"
 #include "thread/abort.hpp"
 #include "thread/team.hpp"
@@ -27,8 +28,7 @@ int main(int argc, char** argv) try {
   const telemetry::WatchdogAction action =
       telemetry::parse_watchdog_action(argc > 1 ? argv[1] : "warn");
 
-  prof::ProgressMeter meter(1.0, std::cerr);
-  meter.begin_run("stall", /*num_threads=*/2, /*total_updates=*/0);
+  prof::Probes probes(/*num_threads=*/2);
 
   telemetry::Config tcfg;
   tcfg.interval_s = 0.01;
@@ -40,18 +40,20 @@ int main(int argc, char** argv) try {
 
   threading::AbortToken abort;
   telemetry::RunSources src;
-  src.num_threads = 2;
+  src.probes = &probes;
   src.timesteps = 1;
-  src.progress = &meter;
   src.abort = &abort;
   sampler.begin_run(src);
 
   threading::Team team(2, /*pin=*/false);
   team.run([&](int tid) {
-    std::uint64_t updates = 0;
+    prof::Probes::Shard& shard = probes.shard(tid);
     for (int i = 0; i < 200; ++i) {  // ~200 ms of "work" in 1 ms ticks
       abort.check();
-      if (tid == 0 || i < 5) meter.publish(tid, ++updates, 100, 0);
+      if (tid == 0 || i < 5) {
+        trace::single_writer_add(shard.updates, 1);
+        trace::single_writer_add(shard.local_bytes, 100);
+      }
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
